@@ -20,26 +20,6 @@ const char* to_string(BackboneKind kind) {
   return "?";
 }
 
-const char* to_string(InnerSolverKind kind) {
-  switch (kind) {
-    case InnerSolverKind::kTreePcg:
-      return "tree-pcg";
-    case InnerSolverKind::kAmg:
-      return "amg";
-  }
-  return "?";
-}
-
-const char* to_string(EstimationMode mode) {
-  switch (mode) {
-    case EstimationMode::kPower:
-      return "power";
-    case EstimationMode::kLocalized:
-      return "localized";
-  }
-  return "?";
-}
-
 const char* to_string(SimilarityPolicy policy) {
   switch (policy) {
     case SimilarityPolicy::kNone:
@@ -134,20 +114,6 @@ BackboneKind parse_backbone_kind(const std::string& name) {
   if (name == "spt") return BackboneKind::kShortestPath;
   throw std::invalid_argument("unknown backbone '" + name +
                               "' (akpw|kruskal|spt)");
-}
-
-InnerSolverKind parse_inner_solver_kind(const std::string& name) {
-  if (name == "tree-pcg") return InnerSolverKind::kTreePcg;
-  if (name == "amg") return InnerSolverKind::kAmg;
-  throw std::invalid_argument("unknown inner solver '" + name +
-                              "' (tree-pcg|amg)");
-}
-
-EstimationMode parse_estimation_mode(const std::string& name) {
-  if (name == "power") return EstimationMode::kPower;
-  if (name == "localized") return EstimationMode::kLocalized;
-  throw std::invalid_argument("unknown estimation mode '" + name +
-                              "' (power|localized)");
 }
 
 SimilarityPolicy parse_similarity_policy(const std::string& name) {

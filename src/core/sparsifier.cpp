@@ -101,11 +101,6 @@ SparsifyOptions& SparsifyOptions::with_node_cap(Index cap) {
   return *this;
 }
 
-SparsifyOptions& SparsifyOptions::with_inner_solver(InnerSolverKind kind) {
-  inner_solver = kind;
-  return *this;
-}
-
 SparsifyOptions& SparsifyOptions::with_solver_tolerance(double tol) {
   check_solver_tolerance(tol);
   solver_tolerance = tol;
@@ -126,11 +121,6 @@ SparsifyOptions& SparsifyOptions::with_threads(int n) {
 
 SparsifyOptions& SparsifyOptions::with_seed(std::uint64_t value) {
   seed = value;
-  return *this;
-}
-
-SparsifyOptions& SparsifyOptions::with_estimation(EstimationMode mode) {
-  estimation = mode;
   return *this;
 }
 

@@ -54,32 +54,6 @@ enum class BackboneKind {
   kShortestPath  ///< Dijkstra SPT from a max-degree center
 };
 
-/// Inner solver used to apply L_P⁺ during estimation/embedding (§3.7
-/// step 1; the paper uses graph-theoretic AMG [13,24]).
-enum class InnerSolverKind {
-  kTreePcg,  ///< PCG preconditioned by the backbone tree (default)
-  kAmg       ///< aggregation AMG V-cycles
-};
-
-/// How per-edge Joule heats (and the spectral bounds driving convergence)
-/// are estimated each densification round.
-enum class EstimationMode {
-  /// The paper's smoothed JL embedding: r random probes pushed through t
-  /// generalized power iterations against L_P⁺ L_G (default). Heats are a
-  /// global function of the whole graph, so dynamic updates must recompute
-  /// everything to stay bit-identical.
-  kPower,
-  /// Localized tree-stretch estimation: heat(e) := w_e · R_T(u,v), the
-  /// exact Joule heat of the tree embedding (stretch.hpp), with
-  /// λ̂_min = 1 (exact lower bound for subgraph sparsifiers) and
-  /// λ̂_max = 1 + max remaining stretch (upper-bound surrogate via
-  /// L_G ≼ L_T + Σ stretch). Per-edge heats depend only on the edge's own
-  /// tree path, so the dynamic layer can reuse cached heats verbatim for
-  /// every edge whose path escaped the batch — the basis of the localized
-  /// incremental warm start. Rng- and thread-count-free by construction.
-  kLocalized
-};
-
 struct SparsifyOptions {
   /// Target upper bound σ² on the relative condition number κ(L_G, L_P).
   double sigma2 = 100.0;
@@ -98,12 +72,9 @@ struct SparsifyOptions {
   SimilarityPolicy similarity = SimilarityPolicy::kNodeDisjoint;
   /// Per-endpoint budget for SimilarityPolicy::kBounded.
   Index node_cap = 2;
-  /// Tree-PCG default: the backbone stays a subgraph of P, making an
-  /// excellent preconditioner; the inner-solver ablation shows it matching
-  /// or beating AMG in wall time across graph families.
-  InnerSolverKind inner_solver = InnerSolverKind::kTreePcg;
-  /// Relative tolerance of the inner L_P solves (heat ranking and λ_max
-  /// estimation tolerate loose solves; see the inner-solver ablation).
+  /// Relative tolerance of the inner L_P solves — tree-preconditioned PCG,
+  /// since the backbone stays a subgraph of P (heat ranking and λ_max
+  /// estimation tolerate loose solves).
   double solver_tolerance = 1e-4;
   /// Generalized power iterations for the λ_max estimate (§3.6.1).
   Index lambda_max_iterations = 10;
@@ -121,11 +92,6 @@ struct SparsifyOptions {
   /// sparsifier_engine.hpp.
   int threads = 0;
   std::uint64_t seed = 42;
-  /// Heat/spectral estimation mode. kLocalized replaces the JL probe
-  /// machinery with exact tree stretches — cheaper per round, cache-
-  /// reusable across dynamic batches, and deterministic independent of
-  /// seed and thread count. See EstimationMode.
-  EstimationMode estimation = EstimationMode::kPower;
 
   /// Full cross-field validation; throws std::invalid_argument on the
   /// first violated constraint. Called by the engine constructor, so
@@ -143,12 +109,10 @@ struct SparsifyOptions {
   SparsifyOptions& with_max_edges_per_round(EdgeId cap);
   SparsifyOptions& with_similarity(SimilarityPolicy policy);
   SparsifyOptions& with_node_cap(Index cap);
-  SparsifyOptions& with_inner_solver(InnerSolverKind kind);
   SparsifyOptions& with_solver_tolerance(double tol);
   SparsifyOptions& with_lambda_max_iterations(Index iterations);
   SparsifyOptions& with_threads(int n);
   SparsifyOptions& with_seed(std::uint64_t value);
-  SparsifyOptions& with_estimation(EstimationMode mode);
 };
 
 /// Telemetry of one densification round (paper §3.7), delivered live via

@@ -15,8 +15,8 @@
 ///    target, keeping the edge set, backbone, tree solver/preconditioner,
 ///    and scratch workspace — resuming densification instead of starting
 ///    over (the GRASS-style iterative-refinement workflow). Per-round
-///    solver state that depends on the growing edge set (L_P, the AMG
-///    hierarchy) is rebuilt each round, warm or cold;
+///    solver state that depends on the growing edge set (L_P) is rebuilt
+///    each round, warm or cold;
 ///  * `resparsify(weights)` warm-starts on re-weighted edges (same
 ///    topology): the backbone tree topology and all workspace buffers are
 ///    reused; only the weight-dependent solver state is rebuilt.
@@ -67,7 +67,6 @@
 #include "core/embedding.hpp"
 #include "core/sparsifier.hpp"
 #include "la/csr_matrix.hpp"
-#include "solver/amg.hpp"
 #include "solver/preconditioner.hpp"
 #include "tree/spanning_tree.hpp"
 #include "tree/tree_solver.hpp"
@@ -78,7 +77,7 @@ namespace ssp {
 /// Pipeline stages reported through `StageObserver::on_stage`.
 enum class StageKind {
   kBackbone,          ///< spanning-tree backbone construction
-  kSolverSetup,       ///< L_P assembly and inner-solver (re)build
+  kSolverSetup,       ///< L_P assembly and inner solver (re)build
   kSpectralEstimate,  ///< (λ_min, λ_max) estimation (§3.6)
   kEmbedding,         ///< Joule-heat embedding of off-tree edges (§3.2)
   kFiltering,         ///< θ_σ filter + dissimilar batch selection (§3.5/3.7)
@@ -119,32 +118,6 @@ enum class StepStatus {
 [[nodiscard]] constexpr bool is_terminal(StepStatus s) {
   return s != StepStatus::kAdvanced;
 }
-
-/// Localized warm-start descriptor for `rebind()` (EstimationMode::
-/// kLocalized only). Carries the dynamic layer's knowledge of *which*
-/// per-edge heats survived the batch:
-///  * `old_to_new` — edge-id remap from the previously bound graph to the
-///    new one (the `Graph::remove_edges` convention: old id → new id,
-///    kInvalidEdge for removed ids; empty span = identity). The engine
-///    migrates its heat cache through it.
-///  * `dirty` — one flag per *new* edge id; nonzero means the edge's tree
-///    path may have changed (or the edge is new/reweighted) and its heat
-///    must be recomputed. Clean off-tree edges reuse the cached double
-///    verbatim — same bits, because the canonical stretch walk
-///    (core/stretch.hpp) is a pure function of the untouched path.
-/// The caller is responsible for `dirty` being a superset of the truly
-/// affected edges; the differential tests enforce it against a cold
-/// recompute.
-struct HeatWarmStart {
-  std::span<const EdgeId> old_to_new;
-  std::span<const char> dirty;
-};
-
-/// Reuse accounting of the most recent localized heat (re)build.
-struct LocalizedHeatStats {
-  EdgeId reused = 0;      ///< off-tree heats taken from the warm cache
-  EdgeId recomputed = 0;  ///< off-tree heats recomputed by the stretch walk
-};
 
 class Sparsifier {
  public:
@@ -230,18 +203,8 @@ class Sparsifier {
   /// ids, not tree edges, pairwise distinct) into the sparsifier before the
   /// first round — the incremental-refine warm start: densification then
   /// tops up from the previous selection instead of from the bare tree.
-  ///
-  /// `warm` (EstimationMode::kLocalized only, ignored otherwise) migrates
-  /// the per-edge heat cache of the previously bound graph into the new
-  /// binding instead of discarding it: cached heats are remapped through
-  /// `warm->old_to_new` and only ids flagged in `warm->dirty` are
-  /// recomputed on the next step — see HeatWarmStart. Passing nullptr (or
-  /// rebinding a power-mode engine) invalidates the cache, so the next
-  /// step recomputes every off-tree heat; either way the resulting bits
-  /// are identical to a cold run, only the work differs.
   void rebind(const Graph& g, const SpanningTree& backbone,
-              std::uint64_t seed, std::span<const EdgeId> keep_offtree = {},
-              const HeatWarmStart* warm = nullptr);
+              std::uint64_t seed, std::span<const EdgeId> keep_offtree = {});
 
   /// Checkpoint-restore companion to `rebind()`: stamps the telemetry
   /// scalars of a previously *finished* run onto the freshly rebound
@@ -256,35 +219,16 @@ class Sparsifier {
                       double sigma2_estimate, bool reached_target,
                       StepStatus status);
 
-  /// Reuse accounting of the most recent localized heat (re)build (zeros
-  /// in power mode or before the first localized step). Read by the
-  /// dynamic layer for UpdateStats / dynamic.heats.* metrics.
-  [[nodiscard]] LocalizedHeatStats localized_heat_stats() const {
-    return heat_stats_;
-  }
-
-  /// The localized per-edge heat cache, indexed by edge id (tree-edge and
-  /// pre-kept slots are unspecified). Valid after a localized step; empty
-  /// in power mode. Exposed for the dirty-set differential tests, which
-  /// compare it bitwise against a cold stretch recompute.
-  [[nodiscard]] std::span<const double> localized_heat_cache() const {
-    return stretch_ready_ ? std::span<const double>(stretch_cache_)
-                          : std::span<const double>{};
-  }
-
  private:
   void ensure_backbone();
   void bind_backbone(const SpanningTree& backbone);
   void rearm_phase();
-  /// (Re)builds the localized heat cache: full canonical stretch sweep
-  /// cold, dirty-only patch after a warm rebind. Updates heat_stats_.
-  void ensure_stretch();
-  StepStatus step_impl_localized();
-  void final_estimate_localized();
-  /// Builds the L_P⁺ operator for the current sparsifier. When `panel` is
-  /// non-null and the sparsifier supports a blocked multi-RHS apply (the
-  /// tree-only rounds), `*panel` receives the panel form; otherwise it is
-  /// left empty and callers fall back to column-wise solves.
+  /// Builds the L_P⁺ operator for the current sparsifier: the backbone
+  /// tree solver while P is the bare tree, tree-preconditioned PCG on L_P
+  /// after. When `panel` is non-null and the sparsifier supports a blocked
+  /// multi-RHS apply (the tree-only rounds), `*panel` receives the panel
+  /// form; otherwise it is left empty and callers fall back to column-wise
+  /// solves.
   [[nodiscard]] LinOp make_solver(double* setup_seconds,
                                   PanelOp* panel = nullptr);
   void final_estimate();
@@ -310,16 +254,8 @@ class Sparsifier {
   // Engine-owned workspace, reused every round.
   std::vector<char> in_p_;       ///< sparsifier membership per edge id
   CsrMatrix lp_;                 ///< current L_P (non-tree-only rounds)
-  AmgHierarchy amg_;             ///< current AMG hierarchy (kAmg only)
   EmbeddingWorkspace emb_ws_;    ///< power-iteration vectors
   OffTreeEmbedding emb_;         ///< off-tree heats, refilled in place
-
-  // Localized-estimation state (EstimationMode::kLocalized only).
-  std::vector<double> stretch_cache_;  ///< per-edge heat, indexed by edge id
-  std::vector<char> stretch_dirty_;    ///< warm-rebind recompute flags
-  bool stretch_ready_ = false;         ///< cache valid for current binding
-  bool stretch_warm_pending_ = false;  ///< cache holds remapped prior heats
-  LocalizedHeatStats heat_stats_;
 
   SparsifyResult result_;
   Index next_round_ = 0;         ///< global round counter (stats.round)

@@ -39,12 +39,4 @@ LinOp make_pcg_op(const CsrMatrix& a, const Preconditioner& m,
   };
 }
 
-LinOp make_amg_op(const AmgHierarchy& amg, double rel_tol, Index max_cycles) {
-  return [&amg, rel_tol, max_cycles](std::span<const double> x,
-                                     std::span<double> y) {
-    fill(y, 0.0);
-    amg.solve(x, y, rel_tol, max_cycles);
-  };
-}
-
 }  // namespace ssp

@@ -3,8 +3,8 @@
 /// \file operators.hpp
 /// Type-erased linear operators. The eigensolvers and the core
 /// sparsification pipeline are written against `LinOp` so the same code
-/// runs with an exact tree solver, a Cholesky factorization, PCG, or AMG as
-/// the inner `L_P⁺` application.
+/// runs with an exact tree solver, a Cholesky factorization, or PCG as the
+/// inner `L_P⁺` application.
 ///
 /// Lifetime: the factory functions capture the referenced objects by
 /// pointer; the caller must keep them alive while the operator is used.
@@ -13,7 +13,6 @@
 #include <span>
 
 #include "la/csr_matrix.hpp"
-#include "solver/amg.hpp"
 #include "solver/cholesky.hpp"
 #include "solver/pcg.hpp"
 #include "solver/preconditioner.hpp"
@@ -49,9 +48,5 @@ using PanelOp = std::function<void(const double*, double*, Index, Index)>;
 [[nodiscard]] LinOp make_pcg_op(const CsrMatrix& a, const Preconditioner& m,
                                 PcgOptions opts,
                                 Index* total_iterations = nullptr);
-
-/// y ≈ A⁺ x via AMG V-cycles to the given tolerance.
-[[nodiscard]] LinOp make_amg_op(const AmgHierarchy& amg, double rel_tol,
-                                Index max_cycles);
 
 }  // namespace ssp

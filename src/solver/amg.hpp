@@ -34,8 +34,7 @@ struct AmgOptions {
   int pre_sweeps = 1;
   int post_sweeps = 1;
   /// Jacobi default: ~2x cheaper per sweep in this implementation and the
-  /// V-cycle count difference does not make GS win in wall time (see the
-  /// inner-solver ablation).
+  /// V-cycle count difference does not make GS win in wall time.
   Smoother smoother = Smoother::kJacobi;
   double jacobi_weight = 0.67;
   /// Deflate the constant vector at the finest level (graph Laplacians).

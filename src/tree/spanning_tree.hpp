@@ -74,15 +74,6 @@ class SpanningTree {
     return parent_w_;
   }
 
-  /// Flat parent-edge-id array indexed by vertex (kInvalidEdge at the
-  /// root) — the raw form the stretch walks consume.
-  [[nodiscard]] std::span<const EdgeId> parent_edges() const {
-    return parent_eid_;
-  }
-
-  /// Flat hop-depth array indexed by vertex (0 at the root).
-  [[nodiscard]] std::span<const Index> depths() const { return depth_; }
-
   /// The tree as a standalone (finalized) graph on the same vertex set.
   [[nodiscard]] Graph as_graph() const;
 

@@ -177,7 +177,6 @@ bool MaxWeightTree::after_insert(EdgeId e) {
              "MaxWeightTree: insert endpoints coincide");
   if (!beats(e, weakest)) return false;
 
-  dirty_edges_.push_back(weakest);  // swapped out of the previous tree
   unlink(weakest);
   link(e);
   // The component cut off by removing `weakest` contains the endpoint of
@@ -193,10 +192,7 @@ bool MaxWeightTree::after_reweight(EdgeId e, double old_weight) {
               "MaxWeightTree: edge id out of range");
   const Edge& edge = g_->edge(e);
   if (contains(e)) {
-    // Every path through a reweighted tree edge changed resistance —
-    // record the edge whether or not an exchange follows. The new key
-    // also moves it in the canonical order.
-    dirty_edges_.push_back(e);
+    // The new key moves the edge in the canonical order.
     canon_touch(e);
     // A tree edge that got heavier only gets safer; a lighter one may be
     // displaced by the strongest off-tree edge across its cut.
@@ -358,10 +354,7 @@ EdgeId MaxWeightTree::after_deletions(std::span<const char> deleted) {
   }
   SSP_REQUIRE(uf.num_sets() == 1,
               "MaxWeightTree: deletions disconnect the graph");
-  for (const EdgeId e : dropped) {
-    dirty_edges_.push_back(e);
-    unlink(e);
-  }
+  for (const EdgeId e : dropped) unlink(e);
   for (const EdgeId x : chosen) link(x);
   // One wholesale O(n) re-rooting replaces per-swap chain surgery — the
   // batch already paid O(m) above.

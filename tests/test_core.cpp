@@ -10,13 +10,13 @@
 #include <numeric>
 #include <set>
 
-#include "core/densify.hpp"
 #include "core/edge_filter.hpp"
 #include "core/eigen_estimate.hpp"
 #include "core/embedding.hpp"
 #include "core/rescale.hpp"
 #include "core/resistance_sampling.hpp"
 #include "core/sparsifier.hpp"
+#include "core/sparsifier_engine.hpp"
 #include "eigen/operators.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators/lattice.hpp"
@@ -351,25 +351,6 @@ TEST(Sparsify, BackboneKindsAllWork) {
   }
 }
 
-TEST(Sparsify, AmgInnerSolverAgreesWithTreePcg) {
-  Rng rng(13);
-  const Graph g = grid_2d(16, 16, WeightModel::uniform(0.5, 2.0), &rng);
-  SparsifyOptions a;
-  a.sigma2 = 40.0;
-  a.inner_solver = InnerSolverKind::kTreePcg;
-  SparsifyOptions b = a;
-  b.inner_solver = InnerSolverKind::kAmg;
-  const SparsifyResult ra = sparsify(g, a);
-  const SparsifyResult rb = sparsify(g, b);
-  EXPECT_TRUE(ra.reached_target);
-  EXPECT_TRUE(rb.reached_target);
-  // Both reach the target with comparable edge budgets (within 2x).
-  const double ratio = static_cast<double>(ra.num_edges()) /
-                       static_cast<double>(rb.num_edges());
-  EXPECT_GT(ratio, 0.5);
-  EXPECT_LT(ratio, 2.0);
-}
-
 TEST(Sparsify, InputValidation) {
   Rng rng(14);
   const Graph g = grid_2d(4, 4);
@@ -413,13 +394,15 @@ TEST(Sparsify, RoundTelemetryIsConsistent) {
   }
 }
 
-TEST(DensifyLoop, UsesSuppliedBackbone) {
+TEST(Sparsify, UsesSuppliedBackbone) {
   Rng rng(16);
   const Graph g = grid_2d(12, 12);
   const SpanningTree tree = max_weight_spanning_tree(g);
   SparsifyOptions opts;
   opts.sigma2 = 25.0;
-  const SparsifyResult res = densify_loop(g, tree, opts);
+  Sparsifier engine(g, tree, opts);
+  engine.run();
+  const SparsifyResult res = engine.take_result();
   ASSERT_EQ(res.tree_edges.size(), static_cast<std::size_t>(143));
   for (std::size_t i = 0; i < res.tree_edges.size(); ++i) {
     EXPECT_EQ(res.tree_edges[i], tree.tree_edge_ids()[i]);
@@ -427,7 +410,7 @@ TEST(DensifyLoop, UsesSuppliedBackbone) {
   // Backbone from another graph is rejected.
   const Graph g2 = grid_2d(12, 12);
   const SpanningTree tree2 = max_weight_spanning_tree(g2);
-  EXPECT_THROW((void)densify_loop(g, tree2, opts), std::invalid_argument);
+  EXPECT_THROW((void)Sparsifier(g, tree2, opts), std::invalid_argument);
 }
 
 TEST(SpielmanSrivastava, ProducesConnectedSpectralApproximation) {

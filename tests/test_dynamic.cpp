@@ -17,7 +17,6 @@
 
 #include "core/options_io.hpp"
 #include "core/sparsifier.hpp"
-#include "core/stretch.hpp"
 #include "dynamic/dynamic_sparsifier.hpp"
 #include "dynamic/update_journal.hpp"
 #include "graph/connectivity.hpp"
@@ -195,100 +194,17 @@ TEST(Differential, WarmRefineStaysSpectrallyEquivalent) {
   }
 }
 
-// ---- Localized re-estimation (EstimationMode::kLocalized) ------------------
-
 Graph small_grid(std::uint64_t seed = 5) {
   Rng rng(seed);
   return grid_2d(8, 8, WeightModel::log_uniform(0.5, 2.0), &rng);
 }
 
-DynamicOptions localized_options(std::uint64_t seed = 42) {
-  DynamicOptions opts = incremental_options(seed);
-  opts.base.estimation = EstimationMode::kLocalized;
-  return opts;
-}
-
-/// Bitwise-compares the engine's warm heat cache against a cold stretch
-/// recompute on the current graph — the dirty set under-approximating
-/// would surface here as a stale double.
-void expect_heat_cache_matches_cold(const DynamicSparsifier& dyn,
-                                    const char* context) {
-  const std::span<const double> cache = dyn.localized_heat_cache();
-  ASSERT_EQ(cache.size(),
-            static_cast<std::size_t>(dyn.graph().num_edges()))
-      << context;
-  const SpanningTree cold_tree = max_weight_spanning_tree(dyn.graph());
-  std::vector<double> expected(cache.size(), 0.0);
-  compute_all_stretches(cold_tree, expected);
-  for (EdgeId e = 0; e < dyn.graph().num_edges(); ++e) {
-    if (cold_tree.contains(e)) continue;  // tree slots are unspecified
-    ASSERT_EQ(cache[static_cast<std::size_t>(e)],
-              expected[static_cast<std::size_t>(e)])
-        << context << " edge " << e;  // exact, not approximate
-  }
-}
-
-TEST(Localized, BitIdenticalToColdRebuildAcrossFamiliesAndThreads) {
-  // The tentpole contract: the localized exact route reuses unchanged
-  // heats across batches yet stays bit-identical to a cold localized
-  // rebuild on the final graph — and reuse actually happens.
-  for (auto& [name, g] : generator_families()) {
-    Rng script_rng(101);
-    const std::vector<UpdateBatch> script =
-        make_update_script(g, script_rng, ScriptOptions{});
-    for (const int threads : {1, 4}) {
-      DynamicOptions opts = localized_options();
-      opts.base.threads = threads;
-      DynamicSparsifier dyn(g, opts);
-      EdgeId total_reused = 0;
-      Index batch_no = 0;
-      for (const UpdateBatch& batch : script) {
-        const UpdateStats& stats = dyn.apply(batch);
-        ++batch_no;
-        ASSERT_NE(stats.route, UpdateRoute::kRebuild) << name;
-        total_reused += stats.heats_reused;
-        const SparsifyResult cold =
-            sparsify(dyn.graph(), dyn.cold_equivalent_options());
-        ASSERT_EQ(dyn.result().edges, cold.edges)
-            << name << " batch " << batch_no << " threads " << threads;
-        ASSERT_DOUBLE_EQ(dyn.result().sigma2_estimate, cold.sigma2_estimate)
-            << name << " batch " << batch_no;
-        ASSERT_EQ(dyn.result().reached_target, cold.reached_target);
-        expect_heat_cache_matches_cold(dyn, name);
-      }
-      // Small batches on these graphs leave most heats untouched; the
-      // warm start must actually exploit that, not recompute the world.
-      EXPECT_GT(total_reused, 0) << name << " threads " << threads;
-    }
-  }
-}
-
-TEST(Localized, ReuseDominatesOnSingleEdgeReweight) {
-  // One off-tree reweight dirties only the paths through one edge: almost
-  // every heat must carry over, and the stats/metrics must say so.
-  const Graph g = small_grid(17);
-  DynamicSparsifier dyn(g, localized_options());
-  const SpanningTree t = max_weight_spanning_tree(dyn.graph());
-  const EdgeId offtree = t.offtree_edge_ids().back();
-  const double w = dyn.graph().edge(offtree).weight;
-  const UpdateStats& stats =
-      dyn.reweight_edges(std::vector<WeightUpdate>{{offtree, w * 1.01}});
-  EXPECT_GT(stats.heats_reused, 0);
-  EXPECT_GT(stats.heats_recomputed, 0);  // at least the edge itself
-  EXPECT_GT(stats.heats_reused, stats.heats_recomputed);
-  const SparsifyResult cold =
-      sparsify(dyn.graph(), dyn.cold_equivalent_options());
-  EXPECT_EQ(dyn.result().edges, cold.edges);
-  expect_heat_cache_matches_cold(dyn, "single reweight");
-}
-
-TEST(Localized, AdversarialScriptsStayBitIdentical) {
-  // Worst-case churn for the dirty-set tracking: the same tree edge
-  // reweighted (and exchange-swapped) every batch, an edge inserted then
-  // deleted across consecutive batches (id remap migration), and one
-  // batch deleting the entire tree (everything dirty). Each must stay
-  // bit-identical to cold and keep the heat cache exact at 1 and 4
-  // threads.
+TEST(Differential, AdversarialScriptsStayBitIdentical) {
+  // Worst-case churn for tree repair: the same tree
+  // edge reweighted (and exchange-swapped) every batch, an edge inserted
+  // then deleted across consecutive batches (id remap), and one batch
+  // deleting the entire tree. Each must stay bit-identical to cold at 1
+  // and 4 threads.
   const Graph grid = small_grid(29);
   // Deleting the whole tree needs the off-tree edges alone to span the
   // graph — true on a complete graph, never on a grid (corner vertices
@@ -315,7 +231,7 @@ TEST(Localized, AdversarialScriptsStayBitIdentical) {
   };
   for (const auto& [name, g, script] : cases) {
     for (const int threads : {1, 4}) {
-      DynamicOptions opts = localized_options();
+      DynamicOptions opts = incremental_options();
       opts.base.threads = threads;
       DynamicSparsifier dyn(g, opts);
       Index batch_no = 0;
@@ -326,21 +242,9 @@ TEST(Localized, AdversarialScriptsStayBitIdentical) {
             sparsify(dyn.graph(), dyn.cold_equivalent_options());
         ASSERT_EQ(dyn.result().edges, cold.edges)
             << name << " batch " << batch_no << " threads " << threads;
-        expect_heat_cache_matches_cold(dyn, name);
       }
     }
   }
-}
-
-TEST(Localized, PowerModeKeepsEmptyCacheAndZeroStats) {
-  // The default power route is untouched by the feature: no cache, zero
-  // reuse counters, and the crown-jewel parity as before.
-  const Graph g = small_grid(31);
-  DynamicSparsifier dyn(g, incremental_options());
-  dyn.insert_edges(std::vector<Edge>{Edge{0, 27, 1.1}});
-  EXPECT_TRUE(dyn.localized_heat_cache().empty());
-  EXPECT_EQ(dyn.history().back().heats_reused, 0);
-  EXPECT_EQ(dyn.history().back().heats_recomputed, 0);
 }
 
 // ---- Tree repair (the primitive the contract rests on) ---------------------
@@ -427,65 +331,40 @@ TEST(TreeRepair, DeletionReconnectionTieBreakIsCanonical) {
   EXPECT_FALSE(tree.contains(5));
 }
 
-TEST(TreeRepair, DirtyEdgesCoverEveryStructuralChange) {
-  // begin_batch() opens a window; every previous-tree edge that is
-  // reweighted, swapped out, or deleted is recorded by id.
+TEST(TreeRepair, SwapReportsMatchTreeMembership) {
+  // after_reweight / after_insert return true exactly when the tree-edge
+  // set changed, and membership follows the swap.
   Rng rng(3);
   Graph g = grid_2d(6, 6, WeightModel::log_uniform(0.5, 2.0), &rng);
   MaxWeightTree tree(g, max_weight_spanning_tree(g).tree_edge_ids());
-
-  tree.begin_batch();
-  EXPECT_TRUE(tree.dirty_tree_edges().empty());
-
-  // Off-tree reweight that cannot enter the tree: records nothing (no
-  // previous-tree path changed).
   const SpanningTree t0 = max_weight_spanning_tree(g);
+
+  // Off-tree reweight downward: it cannot enter the tree.
   const EdgeId off = t0.offtree_edge_ids().front();
   const double old_off = g.edge(off).weight;
   g.set_weight(off, old_off * 0.5);
   EXPECT_FALSE(tree.after_reweight(off, old_off));
-  EXPECT_TRUE(tree.dirty_tree_edges().empty());
+  EXPECT_FALSE(tree.contains(off));
 
-  // Tree-edge reweight (no swap): records the edge itself.
+  // Tree-edge reweight upward: provably no swap, the edge stays.
   const EdgeId te = t0.tree_edge_ids()[5];
   const double old_te = g.edge(te).weight;
-  g.set_weight(te, old_te * 1.5);  // increase: provably no swap
+  g.set_weight(te, old_te * 1.5);
   EXPECT_FALSE(tree.after_reweight(te, old_te));
-  ASSERT_EQ(tree.dirty_tree_edges().size(), 1u);
-  EXPECT_EQ(tree.dirty_tree_edges()[0], te);
+  EXPECT_TRUE(tree.contains(te));
 
-  // A dominating insert swaps out a path edge: the swapped-OUT edge is
-  // recorded (paths that used it are exactly the rerouted ones).
-  tree.begin_batch();
+  // A dominating insert swaps exactly one path edge out for itself.
+  const std::span<const EdgeId> before_span = tree.canonical_edge_ids();
+  const std::vector<EdgeId> before(before_span.begin(), before_span.end());
   const EdgeId heavy = g.add_edge(0, g.num_vertices() - 1, 1e6);
   g.finalize();
   EXPECT_TRUE(tree.after_insert(heavy));
-  ASSERT_EQ(tree.dirty_tree_edges().size(), 1u);
-  const EdgeId swapped_out = tree.dirty_tree_edges()[0];
-  EXPECT_NE(swapped_out, heavy);
-  EXPECT_FALSE(tree.contains(swapped_out));
   EXPECT_TRUE(tree.contains(heavy));
-
-  // Batched deletion records each deleted tree edge by (pre-remap) id.
-  tree.begin_batch();
-  EdgeId victim = kInvalidEdge;
-  for (const EdgeId e : tree.canonical_edge_ids()) {
-    if (testing::stays_connected(g, {e})) {
-      victim = e;
-      break;
-    }
+  Index swapped_out = 0;
+  for (const EdgeId e : before) {
+    if (!tree.contains(e)) ++swapped_out;
   }
-  ASSERT_NE(victim, kInvalidEdge);
-  std::vector<char> mask(static_cast<std::size_t>(g.num_edges()), 0);
-  mask[static_cast<std::size_t>(victim)] = 1;
-  tree.after_deletions(mask);
-  const auto recorded = tree.dirty_tree_edges();
-  EXPECT_TRUE(std::find(recorded.begin(), recorded.end(), victim) !=
-              recorded.end());
-
-  // begin_batch() clears the window.
-  tree.begin_batch();
-  EXPECT_TRUE(tree.dirty_tree_edges().empty());
+  EXPECT_EQ(swapped_out, 1);
 }
 
 TEST(TreeRepair, DeletionsThatDisconnectThrow) {
@@ -588,6 +467,23 @@ TEST(Dynamic, RoutesAndTelemetryAreClassifiedPerBatch) {
   EXPECT_EQ(s1.route, UpdateRoute::kResparsify);
   EXPECT_EQ(s1.tree_swaps, 0);
   EXPECT_EQ(s1.reweighted, 1);
+
+  // Reweight a tree edge heavier: still no swap (the resparsify route),
+  // but the backbone's weights changed, so the layer must not reuse its
+  // stale rooted backbone — the result must equal a cold rebuild.
+  const EdgeId heavier = cold_tree.tree_edge_ids()[3];
+  const double tw = dyn.graph().edge(heavier).weight;
+  const UpdateStats& s1b =
+      dyn.reweight_edges(std::vector<WeightUpdate>{{heavier, tw * 3.0}});
+  EXPECT_EQ(s1b.route, UpdateRoute::kResparsify);
+  EXPECT_EQ(s1b.tree_swaps, 0);
+  {
+    const SparsifyResult cold_b =
+        sparsify(dyn.graph(), dyn.cold_equivalent_options());
+    EXPECT_EQ(dyn.result().edges, cold_b.edges);
+    EXPECT_EQ(dyn.result().sigma2_estimate, cold_b.sigma2_estimate);
+    EXPECT_EQ(dyn.result().lambda_max, cold_b.lambda_max);
+  }
 
   // Delete a tree edge: repair via union-find reconnection.
   const SpanningTree now = max_weight_spanning_tree(dyn.graph());

@@ -15,6 +15,7 @@
 #include "graph/laplacian.hpp"
 #include "la/dense_eigen.hpp"
 #include "la/vector_ops.hpp"
+#include "solver/amg.hpp"
 #include "solver/cholesky.hpp"
 #include "tree/kruskal.hpp"
 #include "tree/tree_solver.hpp"
@@ -54,12 +55,11 @@ TEST(Operators, SolverOpsAgree) {
       &pcg_iters);
 
   const AmgHierarchy amg = AmgHierarchy::build(l);
-  const LinOp amg_op = make_amg_op(amg, 1e-12, 300);
 
   Vec x_chol(b.size()), x_pcg(b.size()), x_amg(b.size());
   chol_op(b, x_chol);
   pcg_op(b, x_pcg);
-  amg_op(b, x_amg);
+  amg.solve(b, x_amg, 1e-12, 300);
   EXPECT_LT(relative_error(x_pcg, x_chol), 1e-8);
   EXPECT_LT(relative_error(x_amg, x_chol), 1e-8);
   EXPECT_GT(pcg_iters, 0);

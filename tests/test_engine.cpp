@@ -402,7 +402,6 @@ TEST(Options, NamedSettersValidateEagerly) {
                         .with_max_edges_per_round(100)
                         .with_similarity(SimilarityPolicy::kBounded)
                         .with_node_cap(4)
-                        .with_inner_solver(InnerSolverKind::kAmg)
                         .with_solver_tolerance(1e-3)
                         .with_lambda_max_iterations(6)
                         .with_seed(123);
@@ -414,7 +413,6 @@ TEST(Options, NamedSettersValidateEagerly) {
   EXPECT_EQ(opts.max_edges_per_round, 100);
   EXPECT_EQ(opts.similarity, SimilarityPolicy::kBounded);
   EXPECT_EQ(opts.node_cap, 4);
-  EXPECT_EQ(opts.inner_solver, InnerSolverKind::kAmg);
   EXPECT_DOUBLE_EQ(opts.solver_tolerance, 1e-3);
   EXPECT_EQ(opts.lambda_max_iterations, 6);
   EXPECT_EQ(opts.seed, 123u);
@@ -435,16 +433,12 @@ TEST(OptionsIo, EnumStringRoundTrips) {
                          BackboneKind::kShortestPath}) {
     EXPECT_EQ(parse_backbone_kind(to_string(k)), k);
   }
-  for (InnerSolverKind k : {InnerSolverKind::kTreePcg, InnerSolverKind::kAmg}) {
-    EXPECT_EQ(parse_inner_solver_kind(to_string(k)), k);
-  }
   for (SimilarityPolicy p :
        {SimilarityPolicy::kNone, SimilarityPolicy::kNodeDisjoint,
         SimilarityPolicy::kBounded}) {
     EXPECT_EQ(parse_similarity_policy(to_string(p)), p);
   }
   EXPECT_THROW(parse_backbone_kind("mst"), std::invalid_argument);
-  EXPECT_THROW(parse_inner_solver_kind("cholesky"), std::invalid_argument);
   EXPECT_THROW(parse_similarity_policy("strict"), std::invalid_argument);
   // Stage names are distinct and never the "?" fallback.
   for (StageKind s : {StageKind::kBackbone, StageKind::kSolverSetup,
@@ -452,51 +446,6 @@ TEST(OptionsIo, EnumStringRoundTrips) {
                       StageKind::kFiltering, StageKind::kFinalEstimate}) {
     EXPECT_STRNE(to_string(s), "?");
   }
-}
-
-TEST(OptionsIo, EstimationModeRoundTrips) {
-  for (EstimationMode m :
-       {EstimationMode::kPower, EstimationMode::kLocalized}) {
-    EXPECT_EQ(parse_estimation_mode(to_string(m)), m);
-  }
-  EXPECT_THROW((void)parse_estimation_mode("exact"), std::invalid_argument);
-  EXPECT_EQ(SparsifyOptions{}.estimation, EstimationMode::kPower);
-  EXPECT_EQ(SparsifyOptions{}
-                .with_estimation(EstimationMode::kLocalized)
-                .estimation,
-            EstimationMode::kLocalized);
-}
-
-TEST(Engine, LocalizedModeConvergesDeterministicallyAcrossThreads) {
-  // kLocalized replaces the randomized power estimate with per-edge tree
-  // stretches: Rng-free, so the run is a pure function of (graph, options)
-  // and thread count must not change a single bit. λ̂_min is exactly 1 for
-  // a subgraph sparsifier, and a reached target means the certified upper
-  // bound σ̂² = 1 + max remaining stretch is at or under the goal.
-  const Graph g = test_grid(24, 91);
-  const auto base = SparsifyOptions{}
-                        .with_sigma2(30.0)
-                        .with_seed(13)
-                        .with_estimation(EstimationMode::kLocalized);
-
-  Sparsifier e1(g, SparsifyOptions(base).with_threads(1));
-  e1.run();
-  Sparsifier e4(g, SparsifyOptions(base).with_threads(4));
-  e4.run();
-  EXPECT_EQ(e1.result().edges, e4.result().edges);  // bit-for-bit
-  EXPECT_DOUBLE_EQ(e1.result().sigma2_estimate, e4.result().sigma2_estimate);
-  EXPECT_DOUBLE_EQ(e1.result().lambda_min, 1.0);
-  EXPECT_TRUE(e1.result().reached_target);
-  EXPECT_LE(e1.result().sigma2_estimate, 30.0);
-  // Denser than the bare tree, sparser than the graph.
-  EXPECT_GT(e1.result().num_edges(),
-            static_cast<EdgeId>(e1.result().tree_edges.size()));
-  EXPECT_LT(e1.result().num_edges(), g.num_edges());
-
-  // Same options, fresh engine: identical again (no hidden state).
-  Sparsifier again(g, SparsifyOptions(base).with_threads(1));
-  again.run();
-  EXPECT_EQ(again.result().edges, e1.result().edges);
 }
 
 TEST(Engine, ThreadCountNeverChangesTheEdgeList) {

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/densify.hpp"
 #include "core/edge_filter.hpp"
 #include "core/embedding.hpp"
 #include "core/rescale.hpp"

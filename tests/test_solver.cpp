@@ -393,8 +393,7 @@ TEST(Amg, TinyMatrixSingleLevel) {
 
 TEST(Amg, GaussSeidelSmootherConvergesFaster) {
   // Symmetric GS needs fewer V-cycles than weighted Jacobi for the same
-  // tolerance (it is the stronger smoother; wall-time is another matter —
-  // see the inner-solver ablation).
+  // tolerance (it is the stronger smoother; wall-time is another matter).
   Rng rng(99);
   const Graph g = grid_2d(24, 24, WeightModel::uniform(0.5, 2.0), &rng);
   const CsrMatrix l = laplacian(g);
