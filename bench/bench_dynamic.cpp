@@ -11,8 +11,8 @@
 //             paid identically by every mode and the incremental path
 //             never copies the graph, so charging a per-batch rebuild to
 //             the baseline would inflate every speedup.
-//   exact   — DynamicSparsifier, bit-identical to cold (tree repair +
-//             engine rebind).
+//   exact   — DynamicSparsifier, bit-identical to cold (Kruskal backbone
+//             per batch + engine rebind).
 //   refine  — DynamicSparsifier with warm_refine: keeps the previous
 //             selection, so an update that leaves κ under target costs
 //             one estimation round instead of a full densification.
@@ -51,7 +51,7 @@ constexpr Index kBatches = 5;
 /// pattern — circuit parameter updates change edge weights, not topology:
 /// reweight-only batches keep the graph finalized, so the incremental
 /// path pays none of the O(m) compaction costs. `kMixed` (~60% reweights, ~20%
-/// inserts, ~20% deletes) stresses the structural-repair machinery: every
+/// inserts, ~20% deletes) changes the topology every batch: every
 /// delete batch inherently costs O(m) compaction that the cold baseline
 /// also pays only inside its rebuild.
 enum class Workload { kReweight, kMixed };
@@ -100,7 +100,6 @@ struct Tally {
 DynamicOptions make_options(bool refine) {
   DynamicOptions opts;
   opts.base.sigma2 = kSigma2;
-  opts.rebuild_threshold = 1e9;  // measure the incremental paths
   opts.warm_refine = refine;
   return opts;
 }

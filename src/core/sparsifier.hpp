@@ -63,7 +63,7 @@ struct SparsifyOptions {
   /// r — random embedding vectors; 0 selects ceil(log2 n).
   Index num_vectors = 0;
   /// Densification rounds before giving up (per engine phase — each
-  /// `refine()`/`resparsify()` warm start gets a fresh budget).
+  /// `refine()`/`rebind()` warm start gets a fresh budget).
   Index max_rounds = 24;
   /// Edges added per round; 0 selects an adaptive cap — n/4 while the
   /// estimate is > 8x the target, n/16 for the refinement rounds

@@ -1,7 +1,6 @@
 #include "core/sparsifier_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "core/edge_filter.hpp"
@@ -295,80 +294,14 @@ void Sparsifier::refine(double new_sigma2) {
   rearm_phase();
 }
 
-void Sparsifier::resparsify(std::span<const double> updated_weights) {
-  SSP_REQUIRE(static_cast<EdgeId>(updated_weights.size()) == g_->num_edges(),
-              "resparsify: one weight per edge id required");
-  for (const double w : updated_weights) {
-    SSP_REQUIRE(w > 0.0 && std::isfinite(w),
-                "resparsify: weights must be positive and finite");
-  }
-
-  // Rebuild the graph with the new weights (topology unchanged, so edge
-  // ids — and with them the backbone's tree edge ids — stay valid).
-  Graph reweighted(g_->num_vertices());
-  for (EdgeId e = 0; e < g_->num_edges(); ++e) {
-    const Edge& edge = g_->edge(e);
-    reweighted.add_edge(edge.u, edge.v,
-                        updated_weights[static_cast<std::size_t>(e)]);
-  }
-  reweighted.finalize();
-
-  // Snapshot the backbone topology before the old graph goes away. A
-  // caller-supplied backbone not yet bound (no step ran) counts too —
-  // its tree must survive the warm start, not be replaced by an
-  // opts_.backbone rebuild.
-  const SpanningTree* source_backbone =
-      backbone_ != nullptr ? backbone_ : external_backbone_;
-  const bool had_backbone = source_backbone != nullptr;
-  std::vector<EdgeId> tree_ids;
-  Vertex root = 0;
-  if (had_backbone) {
-    tree_ids.assign(source_backbone->tree_edge_ids().begin(),
-                    source_backbone->tree_edge_ids().end());
-    root = source_backbone->root();
-  }
-
-  // Drop state referencing the old graph/backbone, then swap.
-  tree_solver_.reset();
-  tree_precond_.reset();
-  owned_backbone_.reset();
-  backbone_ = nullptr;
-  external_backbone_ = nullptr;
-
-  owned_graph_ = std::move(reweighted);
-  g_ = &*owned_graph_;
-  lg_ = laplacian(*g_);
-  rng_ = Rng(opts_.seed);
-
-  result_ = SparsifyResult{};
-  next_round_ = 0;
-  elapsed_seconds_ = 0.0;
-  rearm_phase();
-
-  if (had_backbone) {
-    // Reuse the backbone topology: the expensive low-stretch construction
-    // is skipped, only the O(n) rooted structure and the weight-dependent
-    // tree solver/preconditioner are rebuilt.
-    const WallTimer timer;
-    owned_backbone_.emplace(*g_, std::move(tree_ids), root);
-    bind_backbone(*owned_backbone_);
-    elapsed_seconds_ = timer.seconds();
-    result_.total_seconds = elapsed_seconds_;
-    notify_stage(StageKind::kBackbone, elapsed_seconds_);
-  }
-}
-
 void Sparsifier::rebind(const Graph& g, const SpanningTree& backbone,
                         std::uint64_t seed,
                         std::span<const EdgeId> keep_offtree) {
   SSP_REQUIRE(g.finalized(), "rebind: graph must be finalized");
   SSP_REQUIRE(g.num_vertices() >= 2, "rebind: need >= 2 vertices");
   SSP_REQUIRE(&backbone.graph() == &g, "rebind: backbone built on another graph");
-  SSP_REQUIRE(!owned_graph_.has_value() || &g != &*owned_graph_,
-              "rebind: pass a caller-owned graph, not the engine's "
-              "resparsify() copy");
   // Validate the keep list before any teardown so a rejected call leaves
-  // the engine exactly as it was (the resparsify() atomicity contract).
+  // the engine exactly as it was.
   {
     std::vector<char> seen(static_cast<std::size_t>(g.num_edges()), 0);
     for (const EdgeId e : keep_offtree) {
@@ -385,7 +318,6 @@ void Sparsifier::rebind(const Graph& g, const SpanningTree& backbone,
   tree_solver_.reset();
   tree_precond_.reset();
   owned_backbone_.reset();
-  owned_graph_.reset();
   backbone_ = nullptr;
   external_backbone_ = &backbone;
 

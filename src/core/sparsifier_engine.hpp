@@ -17,9 +17,9 @@
 ///    over (the GRASS-style iterative-refinement workflow). Per-round
 ///    solver state that depends on the growing edge set (L_P) is rebuilt
 ///    each round, warm or cold;
-///  * `resparsify(weights)` warm-starts on re-weighted edges (same
-///    topology): the backbone tree topology and all workspace buffers are
-///    reused; only the weight-dependent solver state is rebuilt.
+///  * `rebind(graph, backbone, seed)` warm-starts on a different graph
+///    (any topology, e.g. re-weighted edges) with a caller-supplied
+///    backbone, reusing every workspace buffer.
 ///
 /// Observability: attach a `StageObserver` to receive per-round telemetry
 /// (`on_round`, which may cancel by returning false) and per-stage wall
@@ -159,14 +159,13 @@ class Sparsifier {
 
   /// Moves the result out of a finished engine without copying the edge
   /// and telemetry vectors. The engine's accumulated state is gone
-  /// afterwards: destroy it or warm-start with resparsify(); step(),
+  /// afterwards: destroy it or warm-start with rebind(); step(),
   /// run(), and refine() are no longer valid. Used by the one-shot
   /// wrappers.
   [[nodiscard]] SparsifyResult take_result() { return std::move(result_); }
 
   /// The graph currently being sparsified — the constructor argument, or
-  /// the engine-owned re-weighted copy after `resparsify()`. Use this (not
-  /// the original) with `result().extract(...)` after re-sparsification.
+  /// the graph passed to the latest `rebind()`.
   [[nodiscard]] const Graph& graph() const { return *g_; }
 
   [[nodiscard]] const SparsifyOptions& options() const { return opts_; }
@@ -181,18 +180,9 @@ class Sparsifier {
   /// earlier (already-accepted edges are never removed).
   void refine(double new_sigma2);
 
-  /// Warm start on updated edge weights (`updated_weights[e]` replaces the
-  /// weight of edge id `e`; same topology, all weights > 0 and finite).
-  /// Reuses the backbone tree topology and all scratch buffers; rebuilds
-  /// only the weight-dependent solver state. Densification restarts from
-  /// the backbone with a reseeded Rng, so the result matches a cold run on
-  /// the re-weighted graph up to the (reused) backbone choice.
-  void resparsify(std::span<const double> updated_weights);
-
   /// Warm start on a different graph (any topology) with a caller-supplied
-  /// backbone — the generalization of `resparsify()` behind the dynamic
-  /// update layer (src/dynamic/). Both `g` and `backbone` must outlive the
-  /// engine (`g` may not be the engine-owned `resparsify()` copy), and
+  /// backbone — the warm start behind the dynamic update layer
+  /// (src/dynamic/). Both `g` and `backbone` must outlive the engine, and
   /// `backbone` must span `g`. The engine re-seeds its Rng with `seed` and
   /// restarts densification from the backbone, reusing every workspace
   /// buffer, so the run is bit-identical to a cold
@@ -238,7 +228,6 @@ class Sparsifier {
   StepStatus step_impl();
 
   const Graph* g_;
-  std::optional<Graph> owned_graph_;  ///< set by resparsify()
   SparsifyOptions opts_;
   StageObserver* observer_ = nullptr;
 

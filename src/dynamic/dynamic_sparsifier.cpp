@@ -16,22 +16,11 @@ namespace ssp {
 
 // ---- DynamicOptions --------------------------------------------------------
 
-void DynamicOptions::validate() const {
-  base.validate();
-  SSP_REQUIRE(rebuild_threshold >= 0.0 && std::isfinite(rebuild_threshold),
-              "DynamicOptions: rebuild_threshold must be finite and >= 0");
-}
+void DynamicOptions::validate() const { base.validate(); }
 
 DynamicOptions& DynamicOptions::with_base(SparsifyOptions opts) {
   opts.validate();
   base = std::move(opts);
-  return *this;
-}
-
-DynamicOptions& DynamicOptions::with_rebuild_threshold(double fraction) {
-  SSP_REQUIRE(fraction >= 0.0 && std::isfinite(fraction),
-              "DynamicOptions: rebuild_threshold must be finite and >= 0");
-  rebuild_threshold = fraction;
   return *this;
 }
 
@@ -57,7 +46,6 @@ DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
 
   WallTimer timer;
   backbone_ = max_weight_spanning_tree(graph_);
-  tree_.emplace(graph_, backbone_->tree_edge_ids());
   notify_stage(DynamicStage::kTreeRepair, timer.seconds(), stats);
 
   timer.reset();
@@ -95,13 +83,15 @@ DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
   SSP_REQUIRE(!state.history.empty(),
               "restore: checkpoint must include batch 0");
 
-  // Backbone and repair state come straight from the checkpoint: the
-  // stored ids are the canonical max-weight tree on this graph, so the
-  // rebuilt MaxWeightTree continues repairing exactly where the
-  // checkpointed instance left off (incremental ≡ cold contract).
-  tree_.emplace(graph_, state.tree_edges);
-  const std::span<const EdgeId> canon = tree_->canonical_edge_ids();
-  backbone_.emplace(graph_, std::vector<EdgeId>(canon.begin(), canon.end()));
+  // The checkpointed backbone is the canonical max-weight tree of this
+  // graph; any other stored tree means the graph or the checkpoint is not
+  // the one the instance held.
+  backbone_ = max_weight_spanning_tree(graph_);
+  const std::span<const EdgeId> tree_ids = backbone_->tree_edge_ids();
+  SSP_REQUIRE(std::equal(tree_ids.begin(), tree_ids.end(),
+                         state.tree_edges.begin(), state.tree_edges.end()),
+              "restore: checkpoint backbone is not the canonical max-weight "
+              "tree of the replayed graph");
 
   // Re-arm the engine on the stored selection: rebind() pre-accepts the
   // off-tree keeps under the checkpointed batch's seed, restore_result()
@@ -149,6 +139,10 @@ SparsifyOptions DynamicSparsifier::cold_equivalent_options() const {
 }
 
 namespace {
+
+// A batch whose dirty fraction (touched edges / final edge count) reaches
+// this is labelled kRebuild, and warm refine drops its kept selection.
+constexpr double kWarmResetFraction = 0.25;
 
 // Indexed by DynamicStage; keep in sync with the enum in the header.
 constexpr const char* kDynSpanName[kNumDynamicStages] = {
@@ -219,11 +213,6 @@ void DynamicSparsifier::validate_batch(const UpdateBatch& batch) const {
   SSP_REQUIRE(uf.num_sets() == 1, "apply: batch would disconnect the graph");
 }
 
-void DynamicSparsifier::rebuild_backbone_cold() {
-  backbone_ = max_weight_spanning_tree(graph_);
-  tree_.emplace(graph_, backbone_->tree_edge_ids());
-}
-
 UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
   UpdateStats stats;
   stats.batch = static_cast<Index>(history_.size());
@@ -237,95 +226,61 @@ UpdateStats DynamicSparsifier::apply(const UpdateBatch& batch) {
                              stats.inserted;
   stats.dirty_fraction = static_cast<double>(batch.size()) /
                          static_cast<double>(std::max<EdgeId>(1, final_edges));
-  const bool rebuild = stats.dirty_fraction >= opts_.rebuild_threshold;
+  const bool reset_keeps = stats.dirty_fraction >= kWarmResetFraction;
   notify_stage(DynamicStage::kValidate, timer.seconds(), stats);
 
-  // Snapshot the previous off-tree selection for the warm-refine route
-  // (the backbone is always the edge-list prefix).
+  // Snapshot the pre-batch backbone (for the swap telemetry) and, for the
+  // warm-refine route, the previous off-tree selection (the backbone is
+  // always the edge-list prefix).
+  const std::span<const EdgeId> prev_ids = backbone_->tree_edge_ids();
+  std::vector<EdgeId> prev_tree(prev_ids.begin(), prev_ids.end());
+  for (const EdgeId e : batch.remove) {
+    if (backbone_->contains(e)) ++stats.tree_removed;
+  }
   std::vector<EdgeId> keep;
-  if (opts_.warm_refine && !rebuild) {
+  if (opts_.warm_refine && !reset_keeps) {
     const SparsifyResult& prev = engine_->result();
     keep.assign(prev.edges.begin() +
                     static_cast<std::ptrdiff_t>(prev.tree_edges.size()),
                 prev.edges.end());
   }
 
-  // Mutate the graph and repair the backbone in lockstep. Inserts land
-  // before removals so a batch may delete a bridge it replaces; removal
-  // compaction then renumbers, keeping inserted edges at the tail.
   timer.reset();
-  double repair_seconds = 0.0;
-  for (const WeightUpdate& wu : batch.reweight) {
-    const double old_weight = graph_.edge(wu.edge).weight;
-    graph_.set_weight(wu.edge, wu.weight);
-    if (!rebuild) {
-      const WallTimer repair;
-      if (tree_->after_reweight(wu.edge, old_weight)) ++stats.tree_swaps;
-      repair_seconds += repair.seconds();
+  const std::vector<EdgeId> remap = apply_batch_to_graph(graph_, batch);
+  if (!remap.empty()) {
+    for (EdgeId& e : prev_tree) e = remap[static_cast<std::size_t>(e)];
+    std::size_t out = 0;
+    for (const EdgeId e : keep) {
+      const EdgeId mapped = remap[static_cast<std::size_t>(e)];
+      if (mapped != kInvalidEdge) keep[out++] = mapped;
     }
+    keep.resize(out);
   }
-  for (const Edge& e : batch.insert) {
-    const EdgeId id = graph_.add_edge(e.u, e.v, e.weight);
-    if (!rebuild) {
-      const WallTimer repair;
-      if (tree_->after_insert(id)) ++stats.tree_swaps;
-      repair_seconds += repair.seconds();
-    }
-  }
-  if (!batch.remove.empty()) {
-    std::vector<char> deleted(static_cast<std::size_t>(graph_.num_edges()),
-                              0);
-    for (const EdgeId e : batch.remove) {
-      deleted[static_cast<std::size_t>(e)] = 1;
-      if (!rebuild && tree_->contains(e)) ++stats.tree_removed;
-    }
-    if (!rebuild) {
-      const WallTimer repair;
-      stats.tree_swaps += tree_->after_deletions(deleted);
-      repair_seconds += repair.seconds();
-    }
-    const std::vector<EdgeId> remap = graph_.remove_edges(batch.remove);
-    if (!rebuild) {
-      const WallTimer repair;
-      tree_->remap_ids(remap);
-      repair_seconds += repair.seconds();
-      if (!keep.empty()) {
-        std::size_t out = 0;
-        for (const EdgeId e : keep) {
-          const EdgeId mapped = remap[static_cast<std::size_t>(e)];
-          if (mapped != kInvalidEdge) keep[out++] = mapped;
-        }
-        keep.resize(out);
-      }
-    }
-  }
-  graph_.finalize();
-  notify_stage(DynamicStage::kApplyGraph, timer.seconds() - repair_seconds,
-               stats);
+  notify_stage(DynamicStage::kApplyGraph, timer.seconds(), stats);
 
-  // Re-root the repaired backbone (or recompute it cold) on the updated
-  // graph; canonical order keeps the tree-edge prefix bit-identical to a
-  // cold Kruskal rebuild.
+  // Recompute the canonical backbone on the updated graph.
   timer.reset();
-  if (rebuild) {
-    rebuild_backbone_cold();
+  backbone_ = max_weight_spanning_tree(graph_);
+  notify_stage(DynamicStage::kTreeRepair, timer.seconds(), stats);
+
+  std::vector<char> in_prev(static_cast<std::size_t>(graph_.num_edges()), 0);
+  for (const EdgeId e : prev_tree) {
+    if (e != kInvalidEdge) in_prev[static_cast<std::size_t>(e)] = 1;
+  }
+  for (const EdgeId e : backbone_->tree_edge_ids()) {
+    if (in_prev[static_cast<std::size_t>(e)] == 0) ++stats.tree_swaps;
+  }
+  if (reset_keeps) {
     stats.route = UpdateRoute::kRebuild;
-    keep.clear();
+  } else if (batch.remove.empty() && batch.insert.empty() &&
+             stats.tree_swaps == 0) {
+    stats.route = UpdateRoute::kResparsify;
   } else {
-    const std::span<const EdgeId> canon = tree_->canonical_edge_ids();
-    backbone_.emplace(graph_,
-                      std::vector<EdgeId>(canon.begin(), canon.end()));
-    const bool same_tree_edges = batch.remove.empty() &&
-                                 batch.insert.empty() &&
-                                 stats.tree_swaps == 0;
-    stats.route = same_tree_edges ? UpdateRoute::kResparsify
-                                  : UpdateRoute::kTreeRepair;
+    stats.route = UpdateRoute::kTreeRepair;
   }
-  notify_stage(DynamicStage::kTreeRepair, repair_seconds + timer.seconds(),
-               stats);
 
-  // Warm-refine keeps may have been swapped into the new tree; they are
-  // already covered by the backbone prefix then.
+  // Warm-refine keeps may have joined the new tree; they are already
+  // covered by the backbone prefix then.
   if (!keep.empty()) {
     std::size_t out = 0;
     for (const EdgeId e : keep) {
@@ -388,13 +343,18 @@ UpdateStats DynamicSparsifier::reweight_edges(
   return apply(batch);
 }
 
-void apply_batch_to_graph(Graph& g, const UpdateBatch& batch) {
+std::vector<EdgeId> apply_batch_to_graph(Graph& g, const UpdateBatch& batch) {
+  // Inserts land before removals so a batch may delete a bridge it
+  // replaces; removal compaction then renumbers, keeping inserted edges at
+  // the tail.
   for (const WeightUpdate& wu : batch.reweight) {
     g.set_weight(wu.edge, wu.weight);
   }
   for (const Edge& e : batch.insert) g.add_edge(e.u, e.v, e.weight);
-  if (!batch.remove.empty()) g.remove_edges(batch.remove);
+  std::vector<EdgeId> remap;
+  if (!batch.remove.empty()) remap = g.remove_edges(batch.remove);
   g.finalize();
+  return remap;
 }
 
 DynamicResult dynamic_sparsify(const Graph& g,

@@ -13,36 +13,31 @@
 ///  1. **Validate** the whole batch up front (ids, weights, and — via one
 ///     union-find pass over the surviving edges — connectivity), so a bad
 ///     batch throws before any state changes.
-///  2. **Apply + repair**: weights are patched in place, deletions are
-///     classified against the persistent backbone (tree-edge deletions
-///     trigger spanning-tree repair via union-find + strongest-crossing
-///     reconnection; off-tree churn touches nothing), insertions run a
-///     path exchange each (tree/tree_repair.hpp).
-///  3. **Route** the re-sparsification: the repaired backbone is re-rooted
-///     on the updated graph (reweight-only batches that leave the tree-edge
-///     set untouched are reported as the `resparsify()`-style route, any
-///     topology churn as tree repair); and when the dirty fraction (touched edges / final edge count) reaches
-///     `rebuild_threshold`, the layer falls back to a cold rebuild
-///     (backbone recomputed from scratch by Kruskal). All three routes
-///     feed `Sparsifier::rebind()`, which reuses the engine workspace.
+///  2. **Apply**: weights are patched in place, inserted edges appended,
+///     removed edges compacted out of the id space.
+///  3. **Backbone + route**: the backbone is recomputed by Kruskal on the
+///     updated graph (`max_weight_spanning_tree`) and handed to
+///     `Sparsifier::rebind()`, which reuses the engine workspace. The batch
+///     is labelled `kResparsify` when it only reweights and leaves the
+///     tree-edge set unchanged, `kTreeRepair` when the graph's topology or
+///     the tree-edge set changed, and `kRebuild` when its dirty fraction
+///     (touched edges / final edge count) reaches 0.25 — the batches on
+///     which warm refine drops its kept selection.
 ///  4. **Sparsify**: the engine densifies to the σ² target and the new
 ///     result replaces the old one.
 ///
 /// Determinism contract (incremental ≡ cold): the backbone is pinned to
 /// the **canonical maximum-weight spanning tree** — unique under the
-/// (weight desc, edge id asc) total order — which is the one backbone
-/// whose incremental repair provably lands on the same tree as a cold
-/// Kruskal rebuild (`DynamicOptions::base.backbone` is therefore
-/// ignored). Batch `b` (the constructor's initial build is batch 0) seeds
-/// its engine run with the derived stream `Rng(base.seed).split(b)`, so:
+/// (weight desc, edge id asc) total order, which is the order Kruskal's
+/// stable sort accepts edges in (`DynamicOptions::base.backbone` is
+/// therefore ignored). Batch `b` (the constructor's initial build is
+/// batch 0) seeds its engine run with the derived stream
+/// `Rng(base.seed).split(b)`, so:
 ///
 ///  * after any batch, `result()` is **bit-identical** to
 ///    `sparsify(graph(), cold_equivalent_options())` — a cold rebuild on
-///    the final graph — whatever mix of incremental routes produced it
-///    (with `warm_refine` off, the default);
-///  * `rebuild_threshold` changes wall time only, never a bit of output:
-///    the cold-rebuild route recomputes by Kruskal exactly the tree the
-///    repair path maintains;
+///    the final graph — whatever mix of batches produced it (with
+///    `warm_refine` off, the default);
 ///  * thread counts change wall time only (the engine's own contract,
 ///    sparsifier_engine.hpp, carries over verbatim);
 ///  * distinct batches draw from decorrelated split streams, so replaying
@@ -54,8 +49,8 @@
 /// target finishes after a single estimation round. Results then drift
 /// from the cold rebuild (they keep edges a cold run would re-rank) but
 /// stay spectrally equivalent — κ still converges to the same σ² target,
-/// and `rebuild_threshold` bounds the drift by periodically resetting to
-/// the cold path. The differential harness (tests/harness.hpp) checks
+/// and every `kRebuild` batch bounds the drift by resetting to the cold
+/// path. The differential harness (tests/harness.hpp) checks
 /// both regimes.
 ///
 /// The vertex set is fixed for the lifetime of the sparsifier; deletions
@@ -69,7 +64,7 @@
 
 #include "core/sparsifier.hpp"
 #include "core/sparsifier_engine.hpp"
-#include "tree/tree_repair.hpp"
+#include "tree/spanning_tree.hpp"
 #include "util/union_find.hpp"
 
 namespace ssp {
@@ -100,16 +95,16 @@ struct UpdateBatch {
 
 /// How a batch reached the engine.
 enum class UpdateRoute {
-  kResparsify,  ///< reweight-only, tree untouched — pure warm start
-  kTreeRepair,  ///< incremental backbone repair, then rebind
-  kRebuild,     ///< dirty fraction >= threshold — cold Kruskal rebuild
+  kResparsify,  ///< reweight-only, tree-edge set unchanged
+  kTreeRepair,  ///< topology or tree-edge set changed
+  kRebuild,     ///< dirty fraction >= 0.25 — warm refine drops its keeps
 };
 
 /// Stages reported through `DynamicObserver::on_dynamic_stage`.
 enum class DynamicStage {
   kValidate,    ///< batch validation incl. connectivity pre-check
   kApplyGraph,  ///< graph mutation + CSR rebuild
-  kTreeRepair,  ///< backbone repair / cold Kruskal + re-rooting
+  kTreeRepair,  ///< Kruskal backbone + rooting
   kRebind,      ///< engine warm-start rebind
   kSparsify,    ///< engine densification run
 };
@@ -123,8 +118,11 @@ struct UpdateStats {
   EdgeId inserted = 0;
   EdgeId removed = 0;
   EdgeId reweighted = 0;
-  EdgeId tree_removed = 0;   ///< removed edges that were tree edges
-  EdgeId tree_swaps = 0;     ///< backbone exchange/reconnection repairs
+  /// Removed ids that were edges of the pre-batch backbone.
+  EdgeId tree_removed = 0;
+  /// Edges of the new backbone absent from the pre-batch one (compared
+  /// after the removal remap; inserted edges count).
+  EdgeId tree_swaps = 0;
   double dirty_fraction = 0.0;
   UpdateRoute route = UpdateRoute::kRebuild;
   EdgeId graph_edges = 0;       ///< |E| after the batch
@@ -152,11 +150,6 @@ struct DynamicOptions {
   /// (the layer pins the canonical max-weight tree — see the file
   /// comment).
   SparsifyOptions base;
-  /// Cold-rebuild fallback: a batch whose dirty fraction (touched edges /
-  /// final edge count) is >= this rebuilds the backbone from scratch.
-  /// 0 forces a rebuild every batch; > 1 never rebuilds. With
-  /// `warm_refine` off this changes wall time only, never the result.
-  double rebuild_threshold = 0.25;
   /// Pre-accept the previous off-tree selection instead of densifying
   /// from the bare tree (faster, spectrally equivalent, not bit-equal to
   /// a cold rebuild). Ignored on the kRebuild route.
@@ -167,7 +160,6 @@ struct DynamicOptions {
   void validate() const;
 
   DynamicOptions& with_base(SparsifyOptions opts);
-  DynamicOptions& with_rebuild_threshold(double fraction);
   DynamicOptions& with_warm_refine(bool on);
 };
 
@@ -213,8 +205,10 @@ class DynamicSparsifier {
   /// Warm restore: binds to a copy of `g` (which must be the graph the
   /// checkpointed instance held — same vertex and edge counts, same ids;
   /// callers rebuild it by replaying the journal's graph mutations) and
-  /// re-creates backbone, engine selection, and telemetry from `state`
-  /// WITHOUT re-running the engine. Afterwards `result()`, `history()`,
+  /// re-creates engine selection and telemetry from `state` WITHOUT
+  /// re-running the engine. The backbone is recomputed by Kruskal on `g`;
+  /// throws std::invalid_argument unless it equals `state.tree_edges`.
+  /// Afterwards `result()`, `history()`,
   /// and every future `apply()` are bit-identical to the instance that
   /// produced the checkpoint — the foundation of the serving daemon's
   /// kill/restart warm path.
@@ -280,14 +274,12 @@ class DynamicSparsifier {
     return batch_seed(opts_.base.seed, batch);
   }
   void validate_batch(const UpdateBatch& batch) const;
-  void rebuild_backbone_cold();
   void notify_stage(DynamicStage stage, double seconds,
                     UpdateStats& stats) const;
 
   DynamicOptions opts_;
   Graph graph_;
-  std::optional<MaxWeightTree> tree_;      ///< persistent repaired backbone
-  std::optional<SpanningTree> backbone_;   ///< rooted view, rebuilt per batch
+  std::optional<SpanningTree> backbone_;   ///< Kruskal tree, rebuilt per batch
   std::optional<Sparsifier> engine_;
   DynamicObserver* observer_ = nullptr;
   std::vector<UpdateStats> history_;
@@ -311,14 +303,15 @@ struct DynamicResult {
     const DynamicOptions& opts = {});
 
 /// Applies only the *graph* mutations of `batch` to `g` — reweights,
-/// then inserts, then removals (with id compaction), then `finalize()`;
-/// exactly the order `DynamicSparsifier::apply` mutates its copy, so a
-/// sequence of batches replayed through this function reproduces the
-/// dynamic layer's graph bit for bit without paying a single
-/// re-sparsification. This is the fast-forward step of checkpoint
-/// restore: replay the journal's graph mutations up to the checkpointed
-/// batch, then hand the graph plus the stored `DynamicRestoreState` to
-/// the restoring constructor.
-void apply_batch_to_graph(Graph& g, const UpdateBatch& batch);
+/// then inserts, then removals (with id compaction), then `finalize()`.
+/// `DynamicSparsifier::apply` mutates its copy through this function, so
+/// a sequence of batches replayed through it reproduces the dynamic
+/// layer's graph bit for bit without paying a single re-sparsification.
+/// This is the fast-forward step of checkpoint restore: replay the
+/// journal's graph mutations up to the checkpointed batch, then hand the
+/// graph plus the stored `DynamicRestoreState` to the restoring
+/// constructor. Returns the removal remap (`Graph::remove_edges`' old →
+/// new id map), empty when the batch removes nothing.
+std::vector<EdgeId> apply_batch_to_graph(Graph& g, const UpdateBatch& batch);
 
 }  // namespace ssp

@@ -110,17 +110,17 @@ inline std::vector<UpdateBatch> make_update_script(const Graph& g, Rng& rng,
 
 // ---- Adversarial scripts ---------------------------------------------------
 //
-// Deterministic worst-case batches for tree repair and the dynamic layer's
-// backbone reuse: each one concentrates churn on the structures the
-// incremental route must get exactly right (the same tree edge over and
-// over, an edge that exists for exactly one batch, a batch that replaces
-// every tree edge at once). The differential tests replay them at several
+// Deterministic worst-case batches for the dynamic layer's per-batch
+// backbone: each one concentrates churn on the structures the incremental
+// route must get exactly right (the same tree edge over and over, an edge
+// that exists for exactly one batch, a batch that replaces every tree edge
+// at once). The differential tests replay them at several
 // thread counts against a cold rebuild.
 
 /// Repeatedly reweights the SAME max-weight-tree edge, alternating far
 /// above and far below its original weight. Every batch changes one
-/// tree-edge weight; odd batches also force an exchange swap and even ones
-/// swap it back, so the repaired backbone must follow in both directions.
+/// tree-edge weight; odd batches also swap it out of the tree and even
+/// ones swap it back, so the backbone must follow in both directions.
 inline std::vector<UpdateBatch> make_repeated_reweight_script(
     const Graph& g, Index batches = 6) {
   const SpanningTree t = max_weight_spanning_tree(g);
@@ -140,7 +140,7 @@ inline std::vector<UpdateBatch> make_repeated_reweight_script(
 /// that edge in the next batch, several times over. The inserted edge's id
 /// is the tail id of its batch and a different id (post-compaction) in the
 /// deleting batch — exercising the id remap and repeated insert/delete
-/// repairs on the same endpoints.
+/// backbone changes on the same endpoints.
 inline std::vector<UpdateBatch> make_insert_delete_script(const Graph& g,
                                                           Index cycles = 3) {
   const Vertex u = 0;
@@ -161,9 +161,9 @@ inline std::vector<UpdateBatch> make_insert_delete_script(const Graph& g,
 }
 
 /// One batch deleting EVERY current max-weight-tree edge (requires the
-/// off-tree edges alone to keep `g` connected — true for 2D lattices and
-/// most dense families). The repair reconnects n−1 components in a single
-/// after_deletions() call and must still match cold bit for bit.
+/// off-tree edges alone to keep `g` connected — true for complete graphs,
+/// never for 2D lattices, whose corner edges are all tree edges). The new backbone shares no edge with the old one
+/// and must still match cold bit for bit.
 inline std::vector<UpdateBatch> make_all_tree_edge_deletion_script(
     const Graph& g) {
   const SpanningTree t = max_weight_spanning_tree(g);

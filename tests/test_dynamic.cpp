@@ -1,9 +1,8 @@
-// Tests for the dynamic update layer (src/dynamic/) and its tree-repair
-// primitive: the differential harness (incremental result bit-identical
-// to a cold rebuild on the final graph, across every generator family and
-// threads ∈ {1, 4}), rebuild-threshold and warm-refine semantics, batch
-// validation/atomicity, telemetry, the update-journal format, and the
-// canonical max-weight tree maintenance it all rests on.
+// Tests for the dynamic update layer (src/dynamic/): the differential
+// harness (incremental result bit-identical to a cold rebuild on the final
+// graph, across every generator family and threads ∈ {1, 4}), warm-refine
+// semantics and its reset, batch validation/atomicity, telemetry, restore
+// validation, and the update-journal format.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +29,6 @@
 #include "harness.hpp"
 #include "scale/quality.hpp"
 #include "tree/kruskal.hpp"
-#include "tree/tree_repair.hpp"
 #include "util/rng.hpp"
 
 namespace ssp {
@@ -77,7 +75,6 @@ std::vector<Family> generator_families() {
 DynamicOptions incremental_options(std::uint64_t seed = 42) {
   DynamicOptions opts;
   opts.base = SparsifyOptions{}.with_sigma2(30.0).with_seed(seed);
-  opts.rebuild_threshold = 1e9;  // never fall back: always incremental
   return opts;
 }
 
@@ -86,8 +83,8 @@ DynamicOptions incremental_options(std::uint64_t seed = 42) {
 TEST(Differential, IncrementalIsBitIdenticalToColdRebuildAcrossFamilies) {
   // The crown-jewel contract: after every incrementally applied batch, the
   // dynamic sparsifier equals a cold rebuild on the final graph bit for
-  // bit — whatever mix of tree repairs the script exercised — at one and
-  // at four worker threads.
+  // bit — whatever mix of backbone changes the script exercised — at one
+  // and at four worker threads.
   for (auto& [name, g] : generator_families()) {
     Rng script_rng(101);
     const std::vector<UpdateBatch> script =
@@ -133,33 +130,6 @@ TEST(Differential, ThreadCountNeverChangesAnyBatch) {
   }
 }
 
-TEST(Differential, RebuildThresholdChangesWallTimeOnly) {
-  // Forcing a cold rebuild on every batch (threshold 0) must reproduce
-  // the always-incremental run exactly: the repaired backbone IS the cold
-  // Kruskal tree, and both draw the same per-batch seed. The issue's
-  // "spectrally equivalent above the threshold" guarantee holds in the
-  // strongest possible form.
-  const Graph g = generator_families()[0].graph;  // lattice
-  Rng script_rng(303);
-  const std::vector<UpdateBatch> script =
-      make_update_script(g, script_rng, ScriptOptions{.batches = 4});
-
-  DynamicOptions incremental = incremental_options();
-  DynamicOptions rebuild = incremental_options();
-  rebuild.rebuild_threshold = 0.0;
-
-  const ReplayOutcome a = replay(g, script, incremental, 1);
-  const ReplayOutcome b = replay(g, script, rebuild, 1);
-  ASSERT_EQ(a.edges_per_batch.size(), b.edges_per_batch.size());
-  for (std::size_t i = 0; i < a.edges_per_batch.size(); ++i) {
-    EXPECT_EQ(a.edges_per_batch[i], b.edges_per_batch[i]) << "batch " << i;
-  }
-  for (std::size_t i = 1; i < a.history.size(); ++i) {
-    EXPECT_NE(a.history[i].route, UpdateRoute::kRebuild);
-    EXPECT_EQ(b.history[i].route, UpdateRoute::kRebuild);
-  }
-}
-
 TEST(Differential, WarmRefineStaysSpectrallyEquivalent) {
   // warm_refine trades bit-exactness for speed: the result may keep edges
   // a cold run would re-rank, but it must still hit the σ² target, and an
@@ -200,8 +170,8 @@ Graph small_grid(std::uint64_t seed = 5) {
 }
 
 TEST(Differential, AdversarialScriptsStayBitIdentical) {
-  // Worst-case churn for tree repair: the same tree
-  // edge reweighted (and exchange-swapped) every batch, an edge inserted
+  // Worst-case backbone churn: the same tree edge reweighted (and
+  // swapped out of the tree) every batch, an edge inserted
   // then deleted across consecutive batches (id remap), and one batch
   // deleting the entire tree. Each must stay bit-identical to cold at 1
   // and 4 threads.
@@ -245,136 +215,6 @@ TEST(Differential, AdversarialScriptsStayBitIdentical) {
       }
     }
   }
-}
-
-// ---- Tree repair (the primitive the contract rests on) ---------------------
-
-TEST(TreeRepair, MaintainedTreeMatchesColdKruskalUnderRandomChurn) {
-  Rng rng(7);
-  Graph g = grid_2d(9, 9, WeightModel::log_uniform(0.2, 5.0), &rng);
-  MaxWeightTree tree(g, max_weight_spanning_tree(g).tree_edge_ids());
-
-  for (int round = 0; round < 40; ++round) {
-    const int kind = static_cast<int>(rng.uniform_int(0, 2));
-    if (kind == 0) {  // reweight a random edge
-      const EdgeId e = static_cast<EdgeId>(
-          rng.uniform_int(0, g.num_edges() - 1));
-      const double old_w = g.edge(e).weight;
-      g.set_weight(e, rng.uniform(0.1, 8.0));
-      tree.after_reweight(e, old_w);
-    } else if (kind == 1) {  // insert a random non-parallel edge
-      const Vertex u =
-          static_cast<Vertex>(rng.uniform_int(0, g.num_vertices() - 1));
-      const Vertex v =
-          static_cast<Vertex>(rng.uniform_int(0, g.num_vertices() - 1));
-      if (u == v || g.find_edge(u, v) != kInvalidEdge) continue;
-      const EdgeId id = g.add_edge(u, v, rng.uniform(0.1, 8.0));
-      g.finalize();
-      tree.after_insert(id);
-    } else {  // delete a random edge batch (skip disconnecting picks)
-      std::vector<EdgeId> remove = {
-          static_cast<EdgeId>(rng.uniform_int(0, g.num_edges() - 1))};
-      if (!testing::stays_connected(g, remove)) continue;
-      std::vector<char> mask(static_cast<std::size_t>(g.num_edges()), 0);
-      mask[static_cast<std::size_t>(remove[0])] = 1;
-      tree.after_deletions(mask);
-      const std::vector<EdgeId> remap = g.remove_edges(remove);
-      tree.remap_ids(remap);
-      g.finalize();
-    }
-    const std::span<const EdgeId> canon = tree.canonical_edge_ids();
-    const std::vector<EdgeId> maintained(canon.begin(), canon.end());
-    const SpanningTree cold = max_weight_spanning_tree(g);
-    const std::vector<EdgeId> expected(cold.tree_edge_ids().begin(),
-                                       cold.tree_edge_ids().end());
-    ASSERT_EQ(maintained, expected) << "round " << round;
-  }
-}
-
-TEST(TreeRepair, DeletionReconnectionTieBreakIsCanonical) {
-  // Regression: deleting several tree edges at once creates components
-  // whose best crossing candidates TIE in weight across *different*
-  // component pairs. Only two of the three w=5 candidates below fit in the
-  // repaired tree, so consuming them in container order (e.g. a map keyed
-  // by union-find roots) instead of the canonical (weight desc, id asc)
-  // order picks the wrong pair — here it would keep edge 7 over edge 6 —
-  // and silently breaks the bit-identical-to-Kruskal contract.
-  Graph g(6);
-  g.add_edge(0, 1, 10.0);  // 0: intra component A
-  g.add_edge(2, 3, 10.0);  // 1: intra component B
-  g.add_edge(4, 5, 10.0);  // 2: intra component C
-  g.add_edge(1, 2, 10.0);  // 3: A—B connector (deleted)
-  g.add_edge(3, 4, 10.0);  // 4: B—C connector (deleted)
-  g.add_edge(0, 2, 5.0);   // 5: A—B candidate, tie
-  g.add_edge(2, 4, 5.0);   // 6: B—C candidate, tie — canonical pick
-  g.add_edge(0, 4, 5.0);   // 7: A—C candidate, tie — canonical reject
-  g.finalize();
-
-  MaxWeightTree tree(g, max_weight_spanning_tree(g).tree_edge_ids());
-  std::vector<char> mask(8, 0);
-  mask[3] = mask[4] = 1;
-  EXPECT_EQ(tree.after_deletions(mask), 2);
-  const std::vector<EdgeId> removed = {3, 4};
-  const std::vector<EdgeId> remap = g.remove_edges(removed);
-  tree.remap_ids(remap);
-  g.finalize();
-
-  const std::span<const EdgeId> canon = tree.canonical_edge_ids();
-  const std::vector<EdgeId> maintained(canon.begin(), canon.end());
-  const SpanningTree cold = max_weight_spanning_tree(g);
-  const std::vector<EdgeId> expected(cold.tree_edge_ids().begin(),
-                                     cold.tree_edge_ids().end());
-  EXPECT_EQ(maintained, expected);
-  // Spell the canonical winner out: old edges 5 and 6 (now 3 and 4), not 7.
-  EXPECT_TRUE(tree.contains(3));
-  EXPECT_TRUE(tree.contains(4));
-  EXPECT_FALSE(tree.contains(5));
-}
-
-TEST(TreeRepair, SwapReportsMatchTreeMembership) {
-  // after_reweight / after_insert return true exactly when the tree-edge
-  // set changed, and membership follows the swap.
-  Rng rng(3);
-  Graph g = grid_2d(6, 6, WeightModel::log_uniform(0.5, 2.0), &rng);
-  MaxWeightTree tree(g, max_weight_spanning_tree(g).tree_edge_ids());
-  const SpanningTree t0 = max_weight_spanning_tree(g);
-
-  // Off-tree reweight downward: it cannot enter the tree.
-  const EdgeId off = t0.offtree_edge_ids().front();
-  const double old_off = g.edge(off).weight;
-  g.set_weight(off, old_off * 0.5);
-  EXPECT_FALSE(tree.after_reweight(off, old_off));
-  EXPECT_FALSE(tree.contains(off));
-
-  // Tree-edge reweight upward: provably no swap, the edge stays.
-  const EdgeId te = t0.tree_edge_ids()[5];
-  const double old_te = g.edge(te).weight;
-  g.set_weight(te, old_te * 1.5);
-  EXPECT_FALSE(tree.after_reweight(te, old_te));
-  EXPECT_TRUE(tree.contains(te));
-
-  // A dominating insert swaps exactly one path edge out for itself.
-  const std::span<const EdgeId> before_span = tree.canonical_edge_ids();
-  const std::vector<EdgeId> before(before_span.begin(), before_span.end());
-  const EdgeId heavy = g.add_edge(0, g.num_vertices() - 1, 1e6);
-  g.finalize();
-  EXPECT_TRUE(tree.after_insert(heavy));
-  EXPECT_TRUE(tree.contains(heavy));
-  Index swapped_out = 0;
-  for (const EdgeId e : before) {
-    if (!tree.contains(e)) ++swapped_out;
-  }
-  EXPECT_EQ(swapped_out, 1);
-}
-
-TEST(TreeRepair, DeletionsThatDisconnectThrow) {
-  Graph g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 2.0);
-  g.finalize();
-  MaxWeightTree tree(g, max_weight_spanning_tree(g).tree_edge_ids());
-  std::vector<char> mask = {1, 0};
-  EXPECT_THROW(tree.after_deletions(mask), std::invalid_argument);
 }
 
 // ---- DynamicSparsifier unit behavior ---------------------------------------
@@ -485,7 +325,7 @@ TEST(Dynamic, RoutesAndTelemetryAreClassifiedPerBatch) {
     EXPECT_EQ(dyn.result().lambda_max, cold_b.lambda_max);
   }
 
-  // Delete a tree edge: repair via union-find reconnection.
+  // Delete a tree edge: the recomputed backbone reconnects the two sides.
   const SpanningTree now = max_weight_spanning_tree(dyn.graph());
   const EdgeId tree_edge = now.tree_edge_ids()[0];
   std::vector<EdgeId> remove = {tree_edge};
@@ -495,11 +335,20 @@ TEST(Dynamic, RoutesAndTelemetryAreClassifiedPerBatch) {
   EXPECT_EQ(s2.tree_removed, 1);
   EXPECT_GE(s2.tree_swaps, 1);
 
-  // Insertions route through tree repair classification too.
+  // Insertions change the topology, so they take the tree-repair route;
+  // tree_swaps counts the new backbone's edges absent from the old one.
+  const std::vector<EdgeId> old_tree = max_weight_tree_edges(dyn.graph());
   const UpdateStats& s3 =
       dyn.insert_edges(std::vector<Edge>{Edge{0, 30, 1.3}});
   EXPECT_EQ(s3.route, UpdateRoute::kTreeRepair);
   EXPECT_EQ(s3.inserted, 1);
+  EdgeId new_tree_edges = 0;
+  for (const EdgeId e : max_weight_tree_edges(dyn.graph())) {
+    if (std::find(old_tree.begin(), old_tree.end(), e) == old_tree.end()) {
+      ++new_tree_edges;
+    }
+  }
+  EXPECT_EQ(s3.tree_swaps, new_tree_edges);
 
   // Every batch still matches its cold rebuild.
   const SparsifyResult cold =
@@ -511,6 +360,81 @@ TEST(Dynamic, RoutesAndTelemetryAreClassifiedPerBatch) {
     for (const double v : s.stage_seconds) sum += v;
     EXPECT_NEAR(s.seconds, sum, 1e-9);
   }
+}
+
+TEST(Dynamic, WarmRefineResetsOnLargeBatches) {
+  const Graph g = small_grid(17);
+  DynamicOptions opts = incremental_options();
+  opts.warm_refine = true;
+  DynamicSparsifier dyn(g, opts);
+
+  // A small batch keeps the previous off-tree selection: every kept edge
+  // is still in the sparsifier (no removals, so ids are stable).
+  const SparsifyResult before = dyn.result();
+  const std::vector<EdgeId> prev_offtree(
+      before.edges.begin() +
+          static_cast<std::ptrdiff_t>(before.tree_edges.size()),
+      before.edges.end());
+  ASSERT_FALSE(prev_offtree.empty());
+  const EdgeId e0 = prev_offtree.front();
+  const UpdateStats small = dyn.reweight_edges(std::vector<WeightUpdate>{
+      {e0, dyn.graph().edge(e0).weight * 1.1}});
+  EXPECT_LT(small.dirty_fraction, 0.25);
+  EXPECT_NE(small.route, UpdateRoute::kRebuild);
+  for (const EdgeId e : prev_offtree) {
+    EXPECT_NE(std::find(dyn.result().edges.begin(), dyn.result().edges.end(),
+                        e),
+              dyn.result().edges.end())
+        << "kept edge " << e;
+  }
+
+  // A batch touching >= 25% of the edges drops the keeps: the result is
+  // the cold rebuild bit for bit.
+  UpdateBatch large;
+  const EdgeId m = dyn.graph().num_edges();
+  for (EdgeId e = 0; e < m; e += 3) {
+    large.reweight.push_back({e, dyn.graph().edge(e).weight * 0.7});
+  }
+  const UpdateStats reset = dyn.apply(large);
+  EXPECT_GE(reset.dirty_fraction, 0.25);
+  EXPECT_EQ(reset.route, UpdateRoute::kRebuild);
+  const SparsifyResult cold =
+      sparsify(dyn.graph(), dyn.cold_equivalent_options());
+  EXPECT_EQ(dyn.result().edges, cold.edges);
+  EXPECT_EQ(dyn.result().sigma2_estimate, cold.sigma2_estimate);
+}
+
+TEST(Dynamic, RestoreRejectsABackboneThatIsNotTheCanonicalTree) {
+  const Graph g = small_grid();
+  DynamicSparsifier dyn(g, incremental_options());
+  const DynamicRestoreState good = dyn.restore_state();
+  EXPECT_NO_THROW(DynamicSparsifier(g, incremental_options(), good));
+
+  // A spanning tree of the graph, but not its max-weight tree.
+  DynamicRestoreState wrong_tree = good;
+  const SpanningTree min_tree = min_weight_spanning_tree(g);
+  wrong_tree.tree_edges.assign(min_tree.tree_edge_ids().begin(),
+                               min_tree.tree_edge_ids().end());
+  wrong_tree.offtree_edges.clear();
+  EXPECT_THROW(DynamicSparsifier(g, incremental_options(), wrong_tree),
+               std::invalid_argument);
+
+  // n-1 in-range ids that do not span: none touches vertex 0.
+  DynamicRestoreState not_spanning = good;
+  not_spanning.tree_edges.clear();
+  not_spanning.offtree_edges.clear();
+  for (EdgeId e = 0; e < g.num_edges() &&
+                     static_cast<Vertex>(not_spanning.tree_edges.size()) <
+                         g.num_vertices() - 1;
+       ++e) {
+    if (g.edge(e).u != 0 && g.edge(e).v != 0) {
+      not_spanning.tree_edges.push_back(e);
+    }
+  }
+  ASSERT_EQ(static_cast<Vertex>(not_spanning.tree_edges.size()),
+            g.num_vertices() - 1);
+  EXPECT_THROW(DynamicSparsifier(g, incremental_options(), not_spanning),
+               std::invalid_argument);
 }
 
 /// Records observer callbacks for ordering checks.
@@ -566,19 +490,12 @@ TEST(Dynamic, OneShotWrapperMatchesManualReplay) {
 }
 
 TEST(Dynamic, OptionsValidate) {
-  EXPECT_THROW(DynamicOptions{}.with_rebuild_threshold(-0.1),
-               std::invalid_argument);
-  EXPECT_THROW(DynamicOptions{}.with_rebuild_threshold(std::nan("")),
-               std::invalid_argument);
   EXPECT_THROW(DynamicOptions{}.with_base(SparsifyOptions{.sigma2 = 0.5}),
                std::invalid_argument);
   DynamicOptions opts;
-  opts.rebuild_threshold = -1.0;
+  opts.base.sigma2 = 0.5;
   EXPECT_THROW(opts.validate(), std::invalid_argument);
-  EXPECT_NO_THROW(DynamicOptions{}
-                      .with_rebuild_threshold(0.5)
-                      .with_warm_refine(true)
-                      .validate());
+  EXPECT_NO_THROW(DynamicOptions{}.with_warm_refine(true).validate());
   // Enum names round-trip into telemetry strings.
   for (const UpdateRoute r : {UpdateRoute::kResparsify,
                               UpdateRoute::kTreeRepair,

@@ -1,5 +1,5 @@
 // Tests for the staged ssp::Sparsifier engine API: step()-driven parity
-// with the one-shot wrapper, warm-started refine()/resparsify(), observer
+// with the one-shot wrapper, warm-started refine()/rebind(), observer
 // telemetry and cancellation, option validation / named setters, and the
 // enum <-> string round trips of options_io.
 
@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -192,95 +191,25 @@ TEST(Engine, ObserverCancellationStopsAtRequestedRound) {
             static_cast<EdgeId>(engine.result().tree_edges.size()));
 }
 
-TEST(Engine, ResparsifyReusesBackboneToposAndReachesTarget) {
-  const Graph g = test_grid(20, 13);
-  Sparsifier engine(g, SparsifyOptions{}.with_sigma2(20.0).with_seed(11));
-  engine.run();
-  ASSERT_TRUE(engine.result().reached_target);
-  const std::vector<EdgeId> tree_before = engine.result().tree_edges;
-
-  // Perturb every weight by up to ±20% and warm-start.
-  Rng rng(99);
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    w[static_cast<std::size_t>(e)] =
-        g.edge(e).weight * rng.uniform(0.8, 1.2);
-  }
-  engine.resparsify(w);
-  EXPECT_FALSE(engine.done());
-  const StepStatus s = engine.run();
-  EXPECT_EQ(s, StepStatus::kConverged);
-  EXPECT_TRUE(engine.result().reached_target);
-  // The backbone tree topology (edge ids) was reused, not recomputed.
-  EXPECT_EQ(engine.result().tree_edges, tree_before);
-  // The engine-owned graph carries the updated weights.
-  for (EdgeId e = 0; e < engine.graph().num_edges(); ++e) {
-    EXPECT_DOUBLE_EQ(engine.graph().edge(e).weight,
-                     w[static_cast<std::size_t>(e)]);
-  }
-  // Sanity: the result extracts against the engine's graph.
-  const Graph p = engine.result().extract(engine.graph());
-  EXPECT_EQ(p.num_edges(), engine.result().num_edges());
-}
-
-TEST(Engine, ResparsifyBeforeFirstStepKeepsExternalBackbone) {
-  const Graph g = test_grid(12, 41);
-  const SpanningTree tree = max_weight_spanning_tree(g);
-  const std::vector<EdgeId> tree_ids(tree.tree_edge_ids().begin(),
-                                     tree.tree_edge_ids().end());
-  // Engine bound to a caller-supplied backbone, warm-started before any
-  // step ran: the external tree topology must survive, not be replaced by
-  // an opts.backbone rebuild.
-  Sparsifier engine(g, tree, SparsifyOptions{}.with_sigma2(30.0));
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    w[static_cast<std::size_t>(e)] = g.edge(e).weight * 1.1;
-  }
-  engine.resparsify(w);
-  engine.run();
-  EXPECT_EQ(engine.result().tree_edges, tree_ids);
-  EXPECT_TRUE(engine.result().reached_target);
-}
-
-TEST(Engine, ResparsifyRejectsBadWeights) {
-  const Graph g = test_grid(8);
-  Sparsifier engine(g, SparsifyOptions{}.with_sigma2(50.0));
-  engine.run();
-  std::vector<double> too_few(static_cast<std::size_t>(g.num_edges()) - 1,
-                              1.0);
-  EXPECT_THROW(engine.resparsify(too_few), std::invalid_argument);
-  std::vector<double> too_many(static_cast<std::size_t>(g.num_edges()) + 1,
-                               1.0);
-  EXPECT_THROW(engine.resparsify(too_many), std::invalid_argument);
-  std::vector<double> bad(static_cast<std::size_t>(g.num_edges()), 1.0);
-  for (const double w : {-1.0, 0.0, std::numeric_limits<double>::infinity(),
-                         std::numeric_limits<double>::quiet_NaN()}) {
-    bad[3] = w;
-    EXPECT_THROW(engine.resparsify(bad), std::invalid_argument);
-  }
-  // A rejected span leaves the engine usable: it is still done, with the
-  // original result intact.
-  EXPECT_TRUE(engine.done());
-  EXPECT_GT(engine.result().num_edges(), 0);
-}
-
-TEST(Engine, RefineAfterResparsifyTightensOnTheReweightedGraph) {
+TEST(Engine, RefineAfterRebindTightensOnTheReweightedGraph) {
   // The warm-start chain the dynamic workflow composes: reach a loose
-  // target, resparsify on perturbed weights, then refine down — the
-  // engine must keep the (reused) backbone and land on the tight target
-  // against the re-weighted graph.
+  // target, rebind to a re-weighted copy and its Kruskal tree, then refine
+  // down — the engine must keep the rebound backbone and land on the
+  // tight target against the re-weighted graph.
   const Graph g = test_grid(18, 77);
   Sparsifier engine(g, SparsifyOptions{}.with_sigma2(30.0).with_seed(3));
   engine.run();
   ASSERT_TRUE(engine.result().reached_target);
-  const std::vector<EdgeId> tree_before = engine.result().tree_edges;
 
   Rng rng(17);
-  std::vector<double> w(static_cast<std::size_t>(g.num_edges()));
+  Graph reweighted = g;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    w[static_cast<std::size_t>(e)] = g.edge(e).weight * rng.uniform(0.9, 1.1);
+    reweighted.set_weight(e, g.edge(e).weight * rng.uniform(0.9, 1.1));
   }
-  engine.resparsify(w);
+  const SpanningTree tree = max_weight_spanning_tree(reweighted);
+  const std::vector<EdgeId> tree_ids(tree.tree_edge_ids().begin(),
+                                     tree.tree_edge_ids().end());
+  engine.rebind(reweighted, tree, 3);
   engine.run();
   ASSERT_TRUE(engine.result().reached_target);
   const EdgeId edges_loose = engine.result().num_edges();
@@ -291,7 +220,7 @@ TEST(Engine, RefineAfterResparsifyTightensOnTheReweightedGraph) {
   EXPECT_TRUE(engine.result().reached_target);
   EXPECT_LE(engine.result().sigma2_estimate, 8.0 + 1e-12);
   EXPECT_GE(engine.result().num_edges(), edges_loose);  // only densifies
-  EXPECT_EQ(engine.result().tree_edges, tree_before);   // backbone survives
+  EXPECT_EQ(engine.result().tree_edges, tree_ids);      // backbone survives
 }
 
 TEST(Engine, RebindMatchesColdExternalBackboneRunBitForBit) {

@@ -280,8 +280,9 @@ class DynamicProgressPrinter : public ssp::DynamicObserver {
 int run_dynamic(const ssp::cli::ArgParser& args, const ssp::Graph& g,
                 const ssp::SparsifyOptions& base) {
   // The dynamic layer pins the canonical kruskal (max-weight) backbone —
-  // the one whose incremental repair equals a cold rebuild bit for bit —
-  // so an explicit --backbone would be silently overridden; reject it.
+  // recomputed every batch, so each result equals a cold rebuild bit for
+  // bit — and an explicit --backbone would be silently overridden; reject
+  // it.
   SSP_REQUIRE(!args.has("backbone"),
               "--update-file pins the canonical kruskal backbone; "
               "--backbone cannot be combined with it");
@@ -365,9 +366,7 @@ int main(int argc, char** argv) {
                              args.has("cut-sigma2") ||
                              args.has("estimate-quality") ||
                              args.has("rescale");
-    const bool dynamic = args.has("update-file") ||
-                         args.has("rebuild-threshold") ||
-                         args.has("warm-refine");
+    const bool dynamic = args.has("update-file") || args.has("warm-refine");
     const bool outofcore = args.get_int("memory-budget-mb", 0) > 0;
     const int rc = [&]() -> int {
       if (outofcore) {
