@@ -175,19 +175,11 @@ void print_warm_start() {
   for (const std::string& v : verdicts) std::printf("%s\n", v.c_str());
 }
 
-/// Accumulates per-stage wall time, keyed by StageKind.
-class StageTimeObserver : public StageObserver {
- public:
-  void on_stage(StageKind stage, double seconds) override {
-    seconds_[static_cast<std::size_t>(stage)] += seconds;
-  }
-  [[nodiscard]] double embedding_seconds() const {
-    return seconds_[static_cast<std::size_t>(StageKind::kEmbedding)];
-  }
-
- private:
-  double seconds_[8] = {};
-};
+/// Embedding-stage wall seconds of a finished engine run.
+double embedding_seconds(const Sparsifier& engine) {
+  return engine.result()
+      .stage_seconds[static_cast<std::size_t>(StageKind::kEmbedding)];
+}
 
 // Thread-scaling on the largest graph: the engine's determinism contract
 // says SparsifyOptions::threads changes wall time only, so the final edge
@@ -203,32 +195,27 @@ void print_thread_scaling() {
   bench::print_rule(80);
   const Graph g = bench::dblp_proxy(dim(12000, 80000), 703);
 
-  StageTimeObserver obs1;
   Sparsifier e1(g, SparsifyOptions{}.with_sigma2(100.0).with_seed(5)
                        .with_threads(1));
-  e1.set_observer(&obs1);
   e1.run();
 
-  StageTimeObserver obsn;
   Sparsifier en(g, SparsifyOptions{}.with_sigma2(100.0).with_seed(5)
                        .with_threads(n_threads));
-  en.set_observer(&obsn);
   en.run();
 
   const bool identical = e1.result().edges == en.result().edges;
   std::printf("%-10s | %8lld %11.3fs | %3d %11.3fs | %7.2fx %9s\n", "dblp",
               static_cast<long long>(e1.result().num_edges()),
-              obs1.embedding_seconds(), n_threads, obsn.embedding_seconds(),
-              obs1.embedding_seconds() /
-                  std::max(obsn.embedding_seconds(), 1e-12),
+              embedding_seconds(e1), n_threads, embedding_seconds(en),
+              embedding_seconds(e1) / std::max(embedding_seconds(en), 1e-12),
               identical ? "yes" : "NO (BUG)");
   report().section("thread_scaling").push(
       Json::object()
           .set("graph", "dblp")
           .set("edges", static_cast<long long>(e1.result().num_edges()))
-          .set("embed_seconds_1t", obs1.embedding_seconds())
+          .set("embed_seconds_1t", embedding_seconds(e1))
           .set("threads", n_threads)
-          .set("embed_seconds_nt", obsn.embedding_seconds())
+          .set("embed_seconds_nt", embedding_seconds(en))
           .set("bitmatch", identical));
   bench::print_rule(80);
   std::printf("probe streams are split per vector and partials reduce in "

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/sparsifier_engine.hpp"
 #include "dynamic/dynamic_sparsifier.hpp"
 #include "scale/partitioned_sparsifier.hpp"
 

@@ -11,7 +11,6 @@
 
 namespace ssp {
 
-enum class StageKind;     // full definition in core/sparsifier_engine.hpp
 enum class CutPolicy;     // full definition in scale/partitioned_sparsifier.hpp
 enum class ScaleStage;    // full definition in scale/partitioned_sparsifier.hpp
 enum class UpdateRoute;   // full definition in dynamic/dynamic_sparsifier.hpp

@@ -17,12 +17,13 @@
 /// // κ(L_G, L_P) ≈ r.sigma2_estimate ≤ opts.sigma2 (when reached_target)
 /// ```
 ///
-/// Staged engine flow — per-round control, stage observers, cancellation,
-/// and warm-started re-sparsification (see sparsifier_engine.hpp):
+/// Staged engine flow — per-round control, the on_round hook (live
+/// telemetry and cancellation), and warm-started re-sparsification (see
+/// sparsifier_engine.hpp):
 ///
 /// ```
 /// ssp::Sparsifier engine(g, opts);
-/// engine.set_observer(&my_observer);       // on_round / on_stage hooks
+/// engine.set_observer(&my_observer);       // on_round hook
 /// engine.run();                            // or: while (!engine.done()) engine.step();
 /// ssp::Graph p = engine.result().extract(engine.graph());
 /// engine.refine(25.0);                     // tighten σ² — reuses the
@@ -38,7 +39,10 @@
 /// densification, each round estimating (λ_min, λ_max) of L_P⁺ L_G,
 /// embedding off-tree edges by Joule heat, filtering by θ_σ, and adding a
 /// small batch of mutually dissimilar survivors — until λ_max/λ_min ≤ σ².
+/// Each result carries its per-round record (`SparsifyResult::rounds`) and
+/// its wall seconds per pipeline stage (`SparsifyResult::stage_seconds`).
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -115,6 +119,19 @@ struct SparsifyOptions {
   SparsifyOptions& with_seed(std::uint64_t value);
 };
 
+/// Pipeline stages of the engine, indexing `SparsifyResult::stage_seconds`.
+enum class StageKind {
+  kBackbone,          ///< spanning-tree backbone construction
+  kSolverSetup,       ///< L_P assembly and inner solver (re)build
+  kSpectralEstimate,  ///< (λ_min, λ_max) estimation (§3.6)
+  kEmbedding,         ///< Joule-heat embedding of off-tree edges (§3.2)
+  kFiltering,         ///< θ_σ filter + dissimilar batch selection (§3.5/3.7)
+  kFinalEstimate,     ///< post-loop σ² refresh after the round budget
+};
+
+/// Number of StageKind values (for per-stage accumulation arrays).
+inline constexpr int kNumStageKinds = 6;
+
 /// Telemetry of one densification round (paper §3.7), delivered live via
 /// `StageObserver::on_round` and retained in `SparsifyResult::rounds`.
 struct DensifyRound {
@@ -137,11 +154,14 @@ struct SparsifyResult {
   double lambda_max = 0.0;
   double sigma2_estimate = 0.0;  ///< final λ_max/λ_min estimate
   bool reached_target = false;
-  /// Per-round telemetry. Deprecated in favour of a live
-  /// `StageObserver::on_round` hook on the engine; kept populated for
-  /// existing callers.
+  /// Per-round telemetry, in round order (the post-run record; the same
+  /// rounds arrive live through `StageObserver::on_round`).
   std::vector<DensifyRound> rounds;
   double total_seconds = 0.0;
+  /// Wall seconds per StageKind, accumulated like `total_seconds`: warm
+  /// starts through `refine()` add to it, and `rebind()` starts it over
+  /// with its own cost as the backbone stage.
+  std::array<double, kNumStageKinds> stage_seconds{};
 
   /// Materializes the sparsifier as a finalized graph on g's vertex set.
   [[nodiscard]] Graph extract(const Graph& g) const {

@@ -129,11 +129,11 @@ void Sparsifier::notify_stage(StageKind stage, double seconds) {
   // Telemetry only: nothing below feeds back into the computation, so
   // output stays bit-identical with observability on or off.
   const auto idx = static_cast<int>(stage);
+  result_.stage_seconds[static_cast<std::size_t>(idx)] += seconds;
   obs::counter_add(kStageNsMetric[idx],
                    static_cast<std::uint64_t>(seconds * 1e9));
   obs::counter_add(kStageCallsMetric[idx], 1);
   obs::TraceScope span(kStageSpanName[idx], seconds);
-  if (observer_ != nullptr) observer_->on_stage(stage, seconds);
 }
 
 StepStatus Sparsifier::step() {

@@ -21,10 +21,11 @@
 ///    (any topology, e.g. re-weighted edges) with a caller-supplied
 ///    backbone, reusing every workspace buffer.
 ///
-/// Observability: attach a `StageObserver` to receive per-round telemetry
-/// (`on_round`, which may cancel by returning false) and per-stage wall
-/// times (`on_stage`). This replaces grepping the write-only
-/// `SparsifyResult::rounds` vector after the fact.
+/// Observability: `result()` carries the per-round record (`rounds`) and
+/// the wall seconds of every pipeline stage (`stage_seconds`); each stage
+/// also lands in the `engine.stage.*` metrics and as a trace span. Attach
+/// a `StageObserver` for the one live hook, `on_round`, which sees each
+/// round as it finishes and may cancel the run by returning false.
 ///
 /// The engine owns all per-round scratch (sparsifier membership bitmap,
 /// power-iteration vectors, off-tree heat arrays), so repeated rounds —
@@ -74,22 +75,9 @@
 
 namespace ssp {
 
-/// Pipeline stages reported through `StageObserver::on_stage`.
-enum class StageKind {
-  kBackbone,          ///< spanning-tree backbone construction
-  kSolverSetup,       ///< L_P assembly and inner solver (re)build
-  kSpectralEstimate,  ///< (λ_min, λ_max) estimation (§3.6)
-  kEmbedding,         ///< Joule-heat embedding of off-tree edges (§3.2)
-  kFiltering,         ///< θ_σ filter + dissimilar batch selection (§3.5/3.7)
-  kFinalEstimate,     ///< post-loop σ² refresh after the round budget
-};
-
-/// Number of StageKind values (for per-stage accumulation arrays).
-inline constexpr int kNumStageKinds = 6;
-
-/// Live telemetry hook for the engine. Default implementations observe
-/// nothing; override what you need. Callbacks run synchronously on the
-/// engine's thread and must not re-enter the engine.
+/// Per-round hook of the engine: live telemetry and cancellation. The
+/// callback runs synchronously on the engine's thread and must not
+/// re-enter the engine (reading `result()` is fine).
 class StageObserver {
  public:
   virtual ~StageObserver() = default;
@@ -100,9 +88,6 @@ class StageObserver {
   /// far. The returned value is ignored on rounds that already terminate
   /// the run.
   virtual bool on_round(const DensifyRound& /*round*/) { return true; }
-
-  /// Called as each pipeline stage completes, with its wall time.
-  virtual void on_stage(StageKind /*stage*/, double /*seconds*/) {}
 };
 
 /// Outcome of a `step()` (and, for the terminal statuses, of `run()`).
@@ -123,8 +108,7 @@ class Sparsifier {
  public:
   /// Validates `opts` and binds the engine to `g` (connected, finalized;
   /// must outlive the engine). The backbone is built lazily on the first
-  /// `step()`/`run()` so an observer attached after construction still
-  /// sees the StageKind::kBackbone notification.
+  /// `step()`/`run()`.
   explicit Sparsifier(const Graph& g, SparsifyOptions opts = {});
 
   /// Caller-supplied backbone (must span `g`; both must outlive the
@@ -136,7 +120,7 @@ class Sparsifier {
   Sparsifier(const Sparsifier&) = delete;
   Sparsifier& operator=(const Sparsifier&) = delete;
 
-  /// Attaches (or detaches, with nullptr) the telemetry observer. The
+  /// Attaches (or detaches, with nullptr) the per-round observer. The
   /// observer must outlive the engine or be detached first.
   void set_observer(StageObserver* observer) { observer_ = observer; }
 
@@ -224,6 +208,8 @@ class Sparsifier {
   void final_estimate();
   /// Stamps seconds, records, and notifies; returns on_round's verdict.
   bool finish_round(DensifyRound& stats, double seconds);
+  /// Adds a finished stage's seconds to `result_.stage_seconds`, the
+  /// `engine.stage.*` metrics and the trace.
   void notify_stage(StageKind stage, double seconds);
   StepStatus step_impl();
 

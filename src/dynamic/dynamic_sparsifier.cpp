@@ -31,9 +31,8 @@ DynamicOptions& DynamicOptions::with_warm_refine(bool on) {
 
 // ---- DynamicSparsifier -----------------------------------------------------
 
-DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
-                                     DynamicObserver* observer)
-    : opts_(std::move(opts)), graph_(g), observer_(observer) {
+DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts)
+    : opts_(std::move(opts)), graph_(g) {
   opts_.validate();
   SSP_REQUIRE(g.finalized(), "DynamicSparsifier: graph must be finalized");
   SSP_REQUIRE(g.num_vertices() >= 2, "DynamicSparsifier: need >= 2 vertices");
@@ -65,13 +64,11 @@ DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
   stats.reached_target = r.reached_target;
   for (const double s : stats.stage_seconds) stats.seconds += s;
   history_.push_back(stats);
-  if (observer_ != nullptr) observer_->on_update(history_.back());
 }
 
 DynamicSparsifier::DynamicSparsifier(const Graph& g, DynamicOptions opts,
-                                     const DynamicRestoreState& state,
-                                     DynamicObserver* observer)
-    : opts_(std::move(opts)), graph_(g), observer_(observer) {
+                                     const DynamicRestoreState& state)
+    : opts_(std::move(opts)), graph_(g) {
   opts_.validate();
   SSP_REQUIRE(g.finalized(), "DynamicSparsifier: graph must be finalized");
   SSP_REQUIRE(g.num_vertices() >= 2, "DynamicSparsifier: need >= 2 vertices");
@@ -162,7 +159,6 @@ void DynamicSparsifier::notify_stage(DynamicStage stage, double seconds,
   const auto idx = static_cast<int>(stage);
   obs::counter_add(kDynStageNs[idx], static_cast<std::uint64_t>(seconds * 1e9));
   obs::TraceScope span(kDynSpanName[idx], seconds);
-  if (observer_ != nullptr) observer_->on_dynamic_stage(stage, seconds);
 }
 
 void DynamicSparsifier::validate_batch(const UpdateBatch& batch) const {

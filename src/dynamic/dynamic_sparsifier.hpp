@@ -100,7 +100,7 @@ enum class UpdateRoute {
   kRebuild,     ///< dirty fraction >= 0.25 — warm refine drops its keeps
 };
 
-/// Stages reported through `DynamicObserver::on_dynamic_stage`.
+/// Stages of one applied batch, indexing `UpdateStats::stage_seconds`.
 enum class DynamicStage {
   kValidate,    ///< batch validation incl. connectivity pre-check
   kApplyGraph,  ///< graph mutation + CSR rebuild
@@ -134,13 +134,14 @@ struct UpdateStats {
   std::array<double, kNumDynamicStages> stage_seconds{};
 };
 
-/// Telemetry hook mirroring `ScaleObserver`: `on_dynamic_stage` as each
-/// stage of a batch finishes, then one `on_update` with the batch totals.
-/// Callbacks run on the applying thread and must not re-enter the layer.
+/// Per-batch hook: `on_update` runs once per applied batch, after the
+/// batch is recorded in `history()`, with its telemetry. It runs on the
+/// applying thread, so blocking in it holds that `apply()` call open; it
+/// must not re-enter the layer. The initial build (batch 0) completes
+/// before an observer can attach; its telemetry is `history().front()`.
 class DynamicObserver {
  public:
   virtual ~DynamicObserver() = default;
-  virtual void on_dynamic_stage(DynamicStage /*stage*/, double /*seconds*/) {}
   virtual void on_update(const UpdateStats& /*stats*/) {}
 };
 
@@ -196,11 +197,8 @@ struct DynamicRestoreState {
 class DynamicSparsifier {
  public:
   /// Binds to a copy of `g` (finalized, connected, >= 2 vertices) and
-  /// runs the initial sparsification (batch 0). Pass `observer` here —
-  /// not only via set_observer() — to receive the initial build's
-  /// telemetry too (the build completes before set_observer() could run).
-  explicit DynamicSparsifier(const Graph& g, DynamicOptions opts = {},
-                             DynamicObserver* observer = nullptr);
+  /// runs the initial sparsification (batch 0).
+  explicit DynamicSparsifier(const Graph& g, DynamicOptions opts = {});
 
   /// Warm restore: binds to a copy of `g` (which must be the graph the
   /// checkpointed instance held — same vertex and edge counts, same ids;
@@ -213,8 +211,7 @@ class DynamicSparsifier {
   /// produced the checkpoint — the foundation of the serving daemon's
   /// kill/restart warm path.
   DynamicSparsifier(const Graph& g, DynamicOptions opts,
-                    const DynamicRestoreState& state,
-                    DynamicObserver* observer = nullptr);
+                    const DynamicRestoreState& state);
 
   /// Captures the full restore payload at the current batch boundary.
   [[nodiscard]] DynamicRestoreState restore_state() const;
@@ -222,7 +219,7 @@ class DynamicSparsifier {
   DynamicSparsifier(const DynamicSparsifier&) = delete;
   DynamicSparsifier& operator=(const DynamicSparsifier&) = delete;
 
-  /// Attaches (or detaches, with nullptr) the telemetry observer; must
+  /// Attaches (or detaches, with nullptr) the per-batch observer; must
   /// outlive the driver or be detached first.
   void set_observer(DynamicObserver* observer) { observer_ = observer; }
 

@@ -4,7 +4,7 @@
 /// fixed-bucket latency histograms with p50/p95/p99 extraction.
 ///
 /// Metrics are named by `MetricId`, a compile-time FNV-1a hash of a
-/// string literal; runtime-composed names (per-block labels) go through
+/// string literal; runtime-composed names (per-worker labels) go through
 /// the `*_named` overloads which hash at call time. The registry is a
 /// fixed-capacity open-addressed table of atomic slots: registration is
 /// a CAS claim, updates are relaxed atomic RMWs, and `visit()` walks the
@@ -74,7 +74,7 @@ void gauge_add(MetricId id, std::int64_t delta) noexcept;
 void histogram_observe(MetricId id, double value) noexcept;
 
 /// Runtime-composed-name variants for labels only known at run time
-/// (e.g. "scale.block.3.stage.embedding.ns"). The name (truncated to
+/// (e.g. "pool.worker.3.busy_ns"). The name (truncated to
 /// the slot's fixed buffer) is copied into the registry, so the caller
 /// may pass a stack buffer.
 void counter_add_named(std::string_view name, std::uint64_t delta) noexcept;

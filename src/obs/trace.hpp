@@ -20,11 +20,10 @@
 ///
 /// Two recording shapes:
 ///  - `Span`: live RAII scope, measures its own duration.
-///  - `TraceScope`: retrospective — the existing observers
-///    (StageObserver / ScaleObserver / DynamicObserver) receive post-hoc
-///    stage durations, so their callbacks construct a TraceScope which
-///    back-dates a complete event ending "now". This is what makes the
-///    observer callbacks thin adapters over spans.
+///  - `TraceScope`: retrospective — each layer's `notify_stage` learns a
+///    stage's duration only after it ran (and adds it to the layer's
+///    result and `*.stage.*` counters), so it constructs a TraceScope
+///    which back-dates a complete event ending "now".
 ///
 /// Define SSP_OBS_NO_TRACE to compile every entry point to a no-op.
 
@@ -43,7 +42,7 @@ void start_trace() noexcept;
 void stop_trace() noexcept;
 
 /// Record a complete event that ended now and lasted `seconds`
-/// (back-dated start). Used by observer callbacks which only learn a
+/// (back-dated start). Used by stage notifications, which only learn a
 /// stage's duration after it ran. Optional integer argument (e.g. a
 /// block id) is attached as {"args":{arg_name: arg}}.
 void emit_span(const char* name, double seconds,
@@ -66,7 +65,7 @@ class Span {
   bool armed_;
 };
 
-/// Retrospective span for observer callbacks (duration already known).
+/// Retrospective span for stage notifications (duration already known).
 struct TraceScope {
   explicit TraceScope(const char* name, double seconds,
                       const char* arg_name = nullptr,

@@ -1,11 +1,9 @@
 #include "scale/component_tasks.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "graph/connectivity.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -33,9 +31,7 @@ void run_task(ComponentTask& task) {
     SparsifyOptions eopts = *task.base_opts;
     eopts.seed = task.seed;
     eopts.threads = 1;  // concurrency lives in the outer fan-out
-    StageSecondsAccumulator acc(&task.stage_seconds);
     Sparsifier engine(sg, eopts);
-    engine.set_observer(&acc);
     engine.run();
     const SparsifyResult& r = engine.result();
     task.selected.reserve(r.edges.size());
@@ -44,6 +40,7 @@ void run_task(ComponentTask& task) {
     }
     task.sigma2 = r.sigma2_estimate;
     task.reached = r.reached_target;
+    task.stage_seconds = r.stage_seconds;
   }
   task.seconds = timer.seconds();
 }
@@ -115,27 +112,6 @@ BlockStats fold_stats(Index block, const Subgraph& sub,
       stats.stage_seconds[static_cast<std::size_t>(s)] +=
           task.stage_seconds[static_cast<std::size_t>(s)];
     }
-  }
-  // Per-block per-stage seconds go into the registry under a per-block
-  // label. Blocks fold concurrently-computed task timings only here, on
-  // the driving thread after the run_tasks barrier, and the registry is
-  // lock-free besides — no shared mutable struct to race on.
-  if (obs::metrics_enabled()) {
-    static constexpr const char* kStageName[kNumStageKinds] = {
-        "backbone",  "solver-setup", "spectral-estimate",
-        "embedding", "filtering",    "final-estimate"};
-    char name[64];
-    for (int s = 0; s < kNumStageKinds; ++s) {
-      const double sec = stats.stage_seconds[static_cast<std::size_t>(s)];
-      if (sec <= 0.0) continue;
-      std::snprintf(name, sizeof(name), "scale.block.%lld.stage.%s.ns",
-                    static_cast<long long>(block), kStageName[s]);
-      obs::counter_add_named(name, static_cast<std::uint64_t>(sec * 1e9));
-    }
-    std::snprintf(name, sizeof(name), "scale.block.%lld.components",
-                  static_cast<long long>(block));
-    obs::counter_add_named(name,
-                           static_cast<std::uint64_t>(stats.components));
   }
   return stats;
 }

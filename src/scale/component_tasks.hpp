@@ -24,20 +24,6 @@
 
 namespace ssp::scale_detail {
 
-/// Sums engine stage wall times into a caller-owned array (one engine per
-/// task, so no synchronization is needed).
-class StageSecondsAccumulator final : public StageObserver {
- public:
-  explicit StageSecondsAccumulator(std::array<double, kNumStageKinds>* acc)
-      : acc_(acc) {}
-  void on_stage(StageKind stage, double seconds) override {
-    (*acc_)[static_cast<int>(stage)] += seconds;
-  }
-
- private:
-  std::array<double, kNumStageKinds>* acc_;
-};
-
 /// One unit of engine work: a connected component of a work unit (block,
 /// leaf, or cut graph), with its edge map into host edge ids and derived
 /// seed. Tasks are movable (they live in a vector), so the working graph

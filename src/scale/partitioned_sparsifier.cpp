@@ -133,7 +133,6 @@ void PartitionedSparsifier::notify_stage(ScaleStage stage, double seconds) {
   obs::counter_add(kScaleStageNs[idx],
                    static_cast<std::uint64_t>(seconds * 1e9));
   obs::TraceScope span(kScaleSpanName[idx], seconds);
-  if (observer_ != nullptr) observer_->on_scale_stage(stage, seconds);
 }
 
 const PartitionedResult& PartitionedSparsifier::run() {
@@ -185,19 +184,17 @@ void PartitionedSparsifier::run_whole_graph() {
   // opts_.block verbatim: same seed, same streams, same edge list as a
   // standalone whole-graph engine run.
   Sparsifier engine(*g_, opts_.block);
-  scale_detail::StageSecondsAccumulator acc(&stats.stage_seconds);
-  engine.set_observer(&acc);
   engine.run();
   SparsifyResult r = engine.take_result();
   stats.kept_edges = static_cast<EdgeId>(r.edges.size());
   stats.sigma2_estimate = r.sigma2_estimate;
   stats.reached_target = r.reached_target;
+  stats.stage_seconds = r.stage_seconds;
   stats.seconds = timer.seconds();
   result_.edges = std::move(r.edges);
   result_.block_stats.push_back(stats);
   notify_stage(ScaleStage::kExtract, 0.0);
   notify_stage(ScaleStage::kBlockSparsify, stats.seconds);
-  if (observer_ != nullptr) observer_->on_block(stats);
   notify_stage(ScaleStage::kCutSparsify, 0.0);
   notify_stage(ScaleStage::kStitch, 0.0);
 }
@@ -233,9 +230,6 @@ void PartitionedSparsifier::run_partitioned() {
   for (Index b = 0; b < k; ++b) {
     result_.block_stats.push_back(
         fold_stats(b, blocks[static_cast<std::size_t>(b)], tasks));
-    if (observer_ != nullptr) {
-      observer_->on_block(result_.block_stats.back());
-    }
   }
 
   // Stage 4: cut policy.
@@ -284,9 +278,6 @@ void PartitionedSparsifier::run_partitioned() {
       }
     }
     notify_stage(ScaleStage::kCutSparsify, timer.seconds());
-  }
-  if (result_.cut_stats.has_value() && observer_ != nullptr) {
-    observer_->on_block(*result_.cut_stats);
   }
 
   // Stage 5: stitch + connectivity repair.

@@ -72,7 +72,8 @@ enum class CutPolicy {
   kQuotient,  ///< one heaviest edge per adjacent block pair + repair
 };
 
-/// Stages reported through `ScaleObserver::on_scale_stage`.
+/// Pipeline stages of a partitioned run, indexing
+/// `PartitionedResult::stage_seconds`.
 enum class ScaleStage {
   kPartition,     ///< recursive bisection / assignment validation
   kExtract,       ///< block + cut subgraph extraction
@@ -140,17 +141,6 @@ struct BlockStats {
   std::array<double, kNumStageKinds> stage_seconds{};
 };
 
-/// Telemetry hook for partitioned runs. Callbacks are invoked on the
-/// driving thread (never concurrently), in deterministic order: blocks in
-/// id order after the block stage completes, then the cut pass, with
-/// `on_scale_stage` as each pipeline stage finishes.
-class ScaleObserver {
- public:
-  virtual ~ScaleObserver() = default;
-  virtual void on_scale_stage(ScaleStage /*stage*/, double /*seconds*/) {}
-  virtual void on_block(const BlockStats& /*stats*/) {}
-};
-
 struct PartitionedResult {
   /// Global edge ids of G forming the sparsifier: block selections in
   /// block order (each engine's backbone-first order preserved), then
@@ -202,10 +192,6 @@ class PartitionedSparsifier {
   PartitionedSparsifier(const PartitionedSparsifier&) = delete;
   PartitionedSparsifier& operator=(const PartitionedSparsifier&) = delete;
 
-  /// Attaches (or detaches, with nullptr) the telemetry observer; must
-  /// outlive the driver or be detached first.
-  void set_observer(ScaleObserver* observer) { observer_ = observer; }
-
   /// Runs the five-stage pipeline to completion. Idempotent: subsequent
   /// calls return the cached result.
   const PartitionedResult& run();
@@ -227,7 +213,6 @@ class PartitionedSparsifier {
   const Graph* g_;
   PartitionedOptions opts_;
   std::optional<std::vector<Vertex>> user_assignment_;
-  ScaleObserver* observer_ = nullptr;
   PartitionedResult result_;
   bool done_ = false;
 };

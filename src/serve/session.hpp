@@ -171,8 +171,9 @@ class Session {
 
   [[nodiscard]] bool closed() const;
 
-  /// Telemetry pass-through to the underlying DynamicSparsifier. Attach
-  /// before traffic starts; the observer must outlive the session.
+  /// Per-batch hook (`DynamicObserver::on_update`) pass-through to the
+  /// underlying DynamicSparsifier. Attach before traffic starts; the
+  /// observer must outlive the session.
   void set_observer(DynamicObserver* observer);
 
  private:

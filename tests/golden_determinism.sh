@@ -5,6 +5,9 @@
 # compares the output edge lists byte for byte (sha256) against
 # tests/fixtures/golden_hashes.txt. Every path is pinned to fixed options
 # and seeds, so any hash drift is a cross-PR determinism regression.
+# Each route then re-runs with --progress=stages: the output must be
+# byte-identical, and the log must carry that route's telemetry lines
+# (engine stages, one line per block plus the cut, one line per batch).
 #
 # Usage: golden_determinism.sh <ssp_sparsify> <fixtures_dir> <work_dir>
 #
@@ -38,6 +41,63 @@ for fixture in grid8 community16; do
   run "${fixture}_part4.mtx"     --in "$in" --sigma2 8 --seed 42 --partitions 4
   run "${fixture}_dynamic.mtx"   --in "$in" --sigma2 8 --seed 42 \
       --update-file "$FIXTURES/$fixture.journal"
+done
+
+fail() { # fail <message> <log>
+  echo "FAIL: $1" >&2
+  cat "$2" >&2
+  exit 1
+}
+
+count() { # count <regex> <log>: lines of the log matching the regex
+  grep -cE "$1" "$2"
+}
+
+PROGRESS="$WORK/progress"
+mkdir -p "$PROGRESS"
+rm -f "$PROGRESS"/*
+
+run_progress() { # run_progress <output-name> <args...>: prints the log path
+  local name="$1"
+  shift
+  local log="$PROGRESS/$name.log"
+  if ! "$SPARSIFY" "$@" --progress=stages --out "$PROGRESS/$name" \
+      > "$log" 2>&1; then
+    fail "ssp_sparsify $* --progress=stages exited non-zero" "$log"
+  fi
+  cmp -s "$WORK/$name" "$PROGRESS/$name" ||
+    fail "--progress changed the output of $name" "$log"
+  echo "$log"
+}
+
+for fixture in grid8 community16; do
+  in="$FIXTURES/$fixture.mtx"
+  log=$(run_progress "${fixture}_plain.mtx" --in "$in" --sigma2 8 --seed 42) ||
+    exit 1
+  for stage in backbone solver-setup spectral-estimate embedding filtering; do
+    [ "$(count "^  stage $stage " "$log")" -ge 1 ] ||
+      fail "$fixture plain: no '$stage' stage line" "$log"
+  done
+
+  log=$(run_progress "${fixture}_part4.mtx" --in "$in" --sigma2 8 --seed 42 \
+      --partitions 4) || exit 1
+  blocks=$(sed -n 's/^blocks: \([0-9]*\) .*/\1/p' "$log")
+  [ -n "$blocks" ] || fail "$fixture part4: no blocks summary" "$log"
+  for ((b = 0; b < blocks; ++b)); do
+    [ "$(count "^  block +$b " "$log")" -eq 1 ] ||
+      fail "$fixture part4: expected one line for block $b" "$log"
+  done
+  [ "$(count '^  block ' "$log")" -eq "$blocks" ] ||
+    fail "$fixture part4: expected $blocks block lines" "$log"
+  [ "$(count '^  cut ' "$log")" -eq 1 ] ||
+    fail "$fixture part4: expected one cut line" "$log"
+
+  journal="$FIXTURES/$fixture.journal"
+  log=$(run_progress "${fixture}_dynamic.mtx" --in "$in" --sigma2 8 --seed 42 \
+      --update-file "$journal") || exit 1
+  batches=$(($(count '^commit' "$journal") + 1))  # plus batch 0
+  [ "$(count '^batch +[0-9]+ ' "$log")" -eq "$batches" ] ||
+    fail "$fixture dynamic: expected $batches batch lines" "$log"
 done
 
 cd "$WORK" || exit 1

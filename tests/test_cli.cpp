@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli.hpp"
@@ -29,6 +31,7 @@ class Argv {
 TEST(Cli, ParsesKeyValuePairs) {
   Argv a({"prog", "--in", "file.mtx", "--sigma2", "50"});
   ArgParser p("prog", "test");
+  p.option("in", "input").option("sigma2", "target");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_EQ(p.get("in", ""), "file.mtx");
   EXPECT_DOUBLE_EQ(p.get_double("sigma2", 0.0), 50.0);
@@ -37,6 +40,7 @@ TEST(Cli, ParsesKeyValuePairs) {
 TEST(Cli, ParsesEqualsForm) {
   Argv a({"prog", "--sigma2=123.5", "--name=x"});
   ArgParser p("prog", "test");
+  p.option("sigma2", "target").option("name", "a name");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_DOUBLE_EQ(p.get_double("sigma2", 0.0), 123.5);
   EXPECT_EQ(p.get("name", ""), "x");
@@ -45,6 +49,7 @@ TEST(Cli, ParsesEqualsForm) {
 TEST(Cli, BooleanFlags) {
   Argv a({"prog", "--verbose", "--out", "o.mtx"});
   ArgParser p("prog", "test");
+  p.option("verbose", "flag").option("quiet", "flag").option("out", "output");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_TRUE(p.get_bool("verbose", false));
   EXPECT_FALSE(p.get_bool("quiet", false));
@@ -55,6 +60,7 @@ TEST(Cli, BooleanFlags) {
 TEST(Cli, TrailingFlagIsBoolean) {
   Argv a({"prog", "--check"});
   ArgParser p("prog", "test");
+  p.option("check", "flag");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_TRUE(p.get_bool("check", false));
 }
@@ -68,6 +74,67 @@ TEST(Cli, HelpReturnsFalse) {
   EXPECT_FALSE(q.parse(b.argc(), b.argv()));
 }
 
+TEST(Cli, UnknownFlagsThrowNamingTheFlag) {
+  const auto parse = [](std::vector<std::string> argv) {
+    Argv a(std::move(argv));
+    ArgParser p("prog", "test");
+    add_sparsify_options(p);
+    add_dynamic_options(p);
+    return p.parse(a.argc(), a.argv());
+  };
+  // Flags of retired options, and misspelt ones, fail instead of being
+  // silently ignored.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"prog", "--inner-solver", "tree-pcg"}, "--inner-solver"},
+       {{"prog", "--rebuild-threshold", "0.5"}, "--rebuild-threshold"},
+       {{"prog", "--rebuild-threshold=0.5"}, "--rebuild-threshold"},
+       {{"prog", "--sigma2", "9", "--sigma"}, "--sigma"}};
+  for (const auto& [argv, flag] : cases) {
+    try {
+      parse(argv);
+      ADD_FAILURE() << flag << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+  // --help / -h stay accepted next to registered flags.
+  EXPECT_FALSE(parse({"prog", "--sigma2", "9", "--help"}));
+  EXPECT_FALSE(parse({"prog", "-h"}));
+}
+
+/// The flag names usage() lists, one per "  --name" line.
+std::vector<std::string> listed_flags(const ArgParser& p) {
+  std::vector<std::string> flags;
+  std::istringstream lines(p.usage());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  --", 0) != 0) continue;
+    flags.push_back(line.substr(4, line.find(' ', 4) - 4));
+  }
+  return flags;
+}
+
+TEST(Cli, EveryRegisteredFlagParses) {
+  // Every shared flag set plus ssp_sparsify's own flags.
+  ArgParser p("prog", "test");
+  p.option("in", "input").option("out", "output").option("progress", "p");
+  p.option("kernels", "k");
+  add_sparsify_options(p);
+  add_partition_options(p);
+  add_dynamic_options(p);
+  add_outofcore_options(p);
+  add_trace_option(p);
+  add_serve_options(p);
+  const std::vector<std::string> flags = listed_flags(p);
+  ASSERT_GT(flags.size(), 20u);
+  for (const std::string& flag : flags) {
+    Argv a({"prog", "--" + flag, "1", "--" + flag + "=2"});
+    ArgParser q = p;
+    EXPECT_TRUE(q.parse(a.argc(), a.argv())) << flag;
+    EXPECT_EQ(q.get(flag, ""), "2") << flag;
+  }
+}
+
 TEST(Cli, RequireThrowsWhenMissing) {
   Argv a({"prog"});
   ArgParser p("prog", "test");
@@ -78,6 +145,7 @@ TEST(Cli, RequireThrowsWhenMissing) {
 TEST(Cli, TypedGettersValidate) {
   Argv a({"prog", "--n", "abc"});
   ArgParser p("prog", "test");
+  p.option("n", "count");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   EXPECT_THROW((void)p.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW((void)p.get_double("n", 0.0), std::invalid_argument);
@@ -87,6 +155,7 @@ TEST(Cli, TypedGettersValidate) {
 TEST(Cli, PositionalArguments) {
   Argv a({"prog", "input.mtx", "--k", "3", "extra"});
   ArgParser p("prog", "test");
+  p.option("k", "parts");
   ASSERT_TRUE(p.parse(a.argc(), a.argv()));
   ASSERT_EQ(p.positional().size(), 2u);
   EXPECT_EQ(p.positional()[0], "input.mtx");

@@ -437,39 +437,40 @@ TEST(Dynamic, RestoreRejectsABackboneThatIsNotTheCanonicalTree) {
                std::invalid_argument);
 }
 
-/// Records observer callbacks for ordering checks.
+/// Records the batch id of every on_update callback.
 class RecordingDynamicObserver : public DynamicObserver {
  public:
-  void on_dynamic_stage(DynamicStage stage, double) override {
-    stages.push_back(stage);
-  }
   void on_update(const UpdateStats& stats) override {
     updates.push_back(stats.batch);
   }
-  std::vector<DynamicStage> stages;
   std::vector<Index> updates;
 };
 
-TEST(Dynamic, ObserverSeesStagesThenUpdatePerBatch) {
+TEST(Dynamic, ObserverSeesOneUpdatePerBatchAndHistoryHasStageSeconds) {
   const Graph g = small_grid(21);
-  // Attached at construction, the observer sees the initial build too.
-  RecordingDynamicObserver obs;
-  DynamicSparsifier dyn(g, incremental_options(), &obs);
-  EXPECT_EQ(obs.updates, (std::vector<Index>{0}));
-  obs.stages.clear();
-  dyn.insert_edges(std::vector<Edge>{Edge{0, 17, 0.9}});
-  EXPECT_EQ(obs.updates, (std::vector<Index>{0, 1}));
-  // All five stages report, sparsify last.
-  ASSERT_FALSE(obs.stages.empty());
-  EXPECT_EQ(obs.stages.front(), DynamicStage::kValidate);
-  EXPECT_EQ(obs.stages.back(), DynamicStage::kSparsify);
-  for (const DynamicStage s :
-       {DynamicStage::kValidate, DynamicStage::kApplyGraph,
-        DynamicStage::kTreeRepair, DynamicStage::kRebind,
-        DynamicStage::kSparsify}) {
-    EXPECT_NE(std::find(obs.stages.begin(), obs.stages.end(), s),
-              obs.stages.end());
+  DynamicSparsifier dyn(g, incremental_options());
+  // The initial build runs before an observer can attach; its telemetry
+  // is history().front().
+  ASSERT_EQ(dyn.history().size(), 1u);
+  const UpdateStats& build = dyn.history().front();
+  EXPECT_EQ(build.batch, 0);
+  for (const DynamicStage s : {DynamicStage::kTreeRepair,
+                               DynamicStage::kRebind,
+                               DynamicStage::kSparsify}) {
+    EXPECT_GT(build.stage_seconds[static_cast<std::size_t>(s)], 0.0);
   }
+
+  RecordingDynamicObserver obs;
+  dyn.set_observer(&obs);
+  const UpdateStats s1 = dyn.insert_edges(std::vector<Edge>{Edge{0, 17, 0.9}});
+  EXPECT_EQ(obs.updates, (std::vector<Index>{1}));
+  dyn.reweight_edges(std::vector<WeightUpdate>{WeightUpdate{3, 2.5}});
+  EXPECT_EQ(obs.updates, (std::vector<Index>{1, 2}));
+  dyn.set_observer(nullptr);
+  // All five stages of a batch record their seconds (stage order is a
+  // span property, checked by the trace test in test_obs).
+  for (const double seconds : s1.stage_seconds) EXPECT_GT(seconds, 0.0);
+  EXPECT_EQ(s1.stage_seconds, dyn.history()[1].stage_seconds);
 }
 
 TEST(Dynamic, OneShotWrapperMatchesManualReplay) {

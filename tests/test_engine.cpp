@@ -1,7 +1,7 @@
 // Tests for the staged ssp::Sparsifier engine API: step()-driven parity
-// with the one-shot wrapper, warm-started refine()/rebind(), observer
-// telemetry and cancellation, option validation / named setters, and the
-// enum <-> string round trips of options_io.
+// with the one-shot wrapper, warm-started refine()/rebind(), the round
+// observer and cancellation, per-stage result seconds, option validation
+// / named setters, and the enum <-> string round trips of options_io.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "core/sparsifier_engine.hpp"
 #include "graph/generators/lattice.hpp"
 #include "graph/generators/random_graphs.hpp"
+#include "obs/metrics.hpp"
 #include "tree/kruskal.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -112,7 +113,7 @@ TEST(Engine, RefineLooseningStopsWithoutAddingEdges) {
   EXPECT_EQ(engine.result().num_edges(), edges_at_20);
 }
 
-/// Observer that records rounds/stages and cancels after `cancel_after`
+/// Observer that records rounds and cancels after `cancel_after`
 /// edge-adding rounds (negative = never cancel).
 class RecordingObserver : public StageObserver {
  public:
@@ -127,24 +128,39 @@ class RecordingObserver : public StageObserver {
     }
     return true;
   }
-  void on_stage(StageKind stage, double seconds) override {
-    stages.emplace_back(stage, seconds);
-  }
 
   std::vector<DensifyRound> rounds;
-  std::vector<std::pair<StageKind, double>> stages;
   int adding_rounds_seen = 0;
 
  private:
   int cancel_after_;
 };
 
-TEST(Engine, ObserverSeesEveryRoundAndAllStages) {
+/// Registry value of one counter (0 when never registered).
+std::uint64_t counter_value(const std::string& name) {
+  std::uint64_t value = 0;
+  obs::for_each_metric([&](const obs::MetricEntry& e) {
+    if (name == e.name) value = e.counter;
+  });
+  return value;
+}
+
+TEST(Engine, ObserverSeesEveryRoundAndResultRecordsAllStages) {
   const Graph g = test_grid(20);
+  obs::reset_metrics_for_tests();
+  obs::set_metrics_enabled(true);
   Sparsifier engine(g, SparsifyOptions{}.with_sigma2(15.0).with_seed(5));
   RecordingObserver obs;
   engine.set_observer(&obs);
   engine.run();
+  const std::uint64_t backbone_calls =
+      counter_value("engine.stage.backbone.calls");
+  engine.refine(8.0);
+  engine.run();
+  const std::uint64_t backbone_calls_after_refine =
+      counter_value("engine.stage.backbone.calls");
+  obs::set_metrics_enabled(false);
+  obs::reset_metrics_for_tests();
 
   ASSERT_EQ(obs.rounds.size(), engine.result().rounds.size());
   for (std::size_t i = 0; i < obs.rounds.size(); ++i) {
@@ -152,20 +168,17 @@ TEST(Engine, ObserverSeesEveryRoundAndAllStages) {
     EXPECT_DOUBLE_EQ(obs.rounds[i].sigma2_estimate,
                      engine.result().rounds[i].sigma2_estimate);
   }
-  auto saw = [&](StageKind k) {
-    return std::any_of(obs.stages.begin(), obs.stages.end(),
-                       [&](const auto& s) { return s.first == k; });
-  };
-  EXPECT_TRUE(saw(StageKind::kBackbone));
-  EXPECT_TRUE(saw(StageKind::kSolverSetup));
-  EXPECT_TRUE(saw(StageKind::kSpectralEstimate));
-  EXPECT_TRUE(saw(StageKind::kEmbedding));
-  EXPECT_TRUE(saw(StageKind::kFiltering));
-  // Backbone is built exactly once per phase.
-  EXPECT_EQ(std::count_if(
-                obs.stages.begin(), obs.stages.end(),
-                [](const auto& s) { return s.first == StageKind::kBackbone; }),
-            1);
+  for (const StageKind k :
+       {StageKind::kBackbone, StageKind::kSolverSetup,
+        StageKind::kSpectralEstimate, StageKind::kEmbedding,
+        StageKind::kFiltering}) {
+    EXPECT_GT(engine.result().stage_seconds[static_cast<std::size_t>(k)], 0.0)
+        << to_string(k);
+  }
+  // The backbone is built exactly once: the cold phase builds it, and
+  // the refine() phase reuses it.
+  EXPECT_EQ(backbone_calls, 1u);
+  EXPECT_EQ(backbone_calls_after_refine, 1u);
 }
 
 TEST(Engine, ObserverCancellationStopsAtRequestedRound) {

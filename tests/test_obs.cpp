@@ -1,7 +1,8 @@
 // Tests for the observability layer (src/obs/): metrics-registry
 // exactness under concurrent writers, histogram percentiles against a
-// sorted reference, Chrome-trace JSON well-formedness and span nesting,
-// the serve `stats`/`metrics` protocol verbs, and — the layer's hard
+// sorted reference, engine result stage seconds against the registry,
+// Chrome-trace JSON well-formedness, span nesting and each layer's
+// stage-span order, the serve `stats`/`metrics` protocol verbs, and — the layer's hard
 // contract — bit-identical sparsifier output with observability on vs
 // off at thread counts 1 and 4. Library-only, so the suite also runs in
 // the TSan CI job where the tools are not built.
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -16,14 +18,19 @@
 #include <thread>
 #include <vector>
 
+#include "core/options_io.hpp"
 #include "core/sparsifier.hpp"
+#include "core/sparsifier_engine.hpp"
+#include "dynamic/dynamic_sparsifier.hpp"
 #include "graph/generators/lattice.hpp"
 #include "graph/generators/random_graphs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "scale/partitioned_sparsifier.hpp"
 #include "serve/connection.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
+#include "tree/kruskal.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -186,6 +193,77 @@ TEST(Metrics, ResetDropsRegistrations) {
   EXPECT_EQ(find_metric("test.reset").counter, 4u);
 }
 
+/// `engine.stage.<stage>.{ns,calls}` counters, indexed by StageKind.
+struct StageCounters {
+  std::array<std::uint64_t, kNumStageKinds> ns{};
+  std::array<std::uint64_t, kNumStageKinds> calls{};
+};
+
+StageCounters engine_stage_counters() {
+  StageCounters c;
+  for (int s = 0; s < kNumStageKinds; ++s) {
+    const std::string name =
+        std::string("engine.stage.") + to_string(static_cast<StageKind>(s));
+    c.ns[static_cast<std::size_t>(s)] = find_metric(name + ".ns").counter;
+    c.calls[static_cast<std::size_t>(s)] =
+        find_metric(name + ".calls").counter;
+  }
+  return c;
+}
+
+/// Each stage's result seconds equal the registry's ns delta over the same
+/// span of work, within the 1 ns per call that the counter truncates.
+void expect_result_matches_registry(const SparsifyResult& r,
+                                    const StageCounters& before,
+                                    const StageCounters& after,
+                                    const char* phase) {
+  for (int s = 0; s < kNumStageKinds; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    const auto ns = static_cast<double>(after.ns[i] - before.ns[i]);
+    const auto calls = static_cast<double>(after.calls[i] - before.calls[i]);
+    EXPECT_NEAR(r.stage_seconds[i] * 1e9, ns, calls)
+        << phase << ": " << to_string(static_cast<StageKind>(s));
+  }
+}
+
+TEST(Metrics, EngineResultStageSecondsMatchTheRegistry) {
+  const MetricsOn on;
+  Rng rng(3);
+  const Graph g = grid_2d(20, 20, WeightModel::log_uniform(0.1, 10.0), &rng);
+  const StageCounters start = engine_stage_counters();
+  Sparsifier engine(
+      g, SparsifyOptions{}.with_sigma2(30.0).with_seed(5).with_threads(1));
+  engine.run();
+  expect_result_matches_registry(engine.result(), start,
+                                 engine_stage_counters(), "run");
+  EXPECT_GT(engine.result().stage_seconds[static_cast<std::size_t>(
+                StageKind::kEmbedding)],
+            0.0);
+
+  // refine() adds to the array: it still matches the delta since start.
+  engine.refine(10.0);
+  engine.run();
+  expect_result_matches_registry(engine.result(), start,
+                                 engine_stage_counters(), "refine");
+
+  // rebind() starts the array over; only its own cost remains, as the
+  // backbone stage.
+  const SpanningTree tree = max_weight_spanning_tree(g);
+  const StageCounters before_rebind = engine_stage_counters();
+  engine.rebind(g, tree, 7);
+  const SparsifyResult& r = engine.result();
+  for (int s = 0; s < kNumStageKinds; ++s) {
+    if (static_cast<StageKind>(s) == StageKind::kBackbone) continue;
+    EXPECT_EQ(r.stage_seconds[static_cast<std::size_t>(s)], 0.0)
+        << to_string(static_cast<StageKind>(s));
+  }
+  EXPECT_EQ(r.stage_seconds[static_cast<std::size_t>(StageKind::kBackbone)],
+            r.total_seconds);
+  engine.run();
+  expect_result_matches_registry(engine.result(), before_rebind,
+                                 engine_stage_counters(), "rebind");
+}
+
 // ---- Trace export -----------------------------------------------------------
 
 /// Minimal string-aware JSON structural validator: balanced {}/[],
@@ -253,6 +331,29 @@ TEST(Trace, DisabledByDefaultAndSpansAreFree) {
   EXPECT_EQ(obs::trace_span_count(), before);
 }
 
+/// Records one trace of `work` and returns its JSON.
+template <typename Work>
+std::string trace_of(Work&& work) {
+  obs::start_trace();
+  work();
+  obs::stop_trace();
+  std::ostringstream os;
+  obs::write_chrome_trace(os);
+  return os.str();
+}
+
+/// Each named span occurs, and the first occurrences start in list order.
+void expect_spans_in_order(const std::string& json,
+                           const std::vector<std::string>& names) {
+  double prev_ts = -1.0;
+  for (const std::string& name : names) {
+    double ts = 0.0, dur = 0.0;
+    ASSERT_TRUE(find_event(json, name, &ts, &dur)) << name;
+    EXPECT_GT(ts, prev_ts) << name;
+    prev_ts = ts;
+  }
+}
+
 TEST(Trace, ChromeJsonIsWellFormedAndSpansNest) {
   obs::start_trace();
   {
@@ -288,6 +389,43 @@ TEST(Trace, ChromeJsonIsWellFormedAndSpansNest) {
   EXPECT_LE(inner_ts + inner_dur, outer_ts + outer_dur + kEps);
   EXPECT_GE(inner_dur, 1000.0);               // slept >= 2 ms
   EXPECT_GE(outer_dur, inner_dur + 2000.0);   // plus the outer sleeps
+
+  // Stage order is a span property: each layer's stage spans start in
+  // pipeline order.
+  Rng rng(9);
+  const Graph g = grid_2d(14, 14, WeightModel::log_uniform(0.1, 10.0), &rng);
+
+  // Engine: one phase on the calling thread, first round's stages.
+  expect_spans_in_order(
+      trace_of([&] {
+        Sparsifier engine(
+            g, SparsifyOptions{}.with_sigma2(20.0).with_threads(1));
+        engine.run();
+      }),
+      {"engine.backbone", "engine.solver-setup", "engine.spectral-estimate",
+       "engine.embedding", "engine.filtering"});
+
+  // Scale layer: the six driver stages, quality last.
+  expect_spans_in_order(
+      trace_of([&] {
+        PartitionedOptions opts;
+        opts.partitions = 3;
+        opts.block.sigma2 = 60.0;
+        opts.estimate_quality = true;
+        (void)partitioned_sparsify(g, opts);
+      }),
+      {"scale.partition", "scale.extract", "scale.block-sparsify",
+       "scale.cut-sparsify", "scale.stitch", "scale.quality"});
+
+  // Dynamic layer: one batch, validation first and the engine run last.
+  DynamicSparsifier dyn(
+      g, DynamicOptions{}.with_base(SparsifyOptions{}.with_sigma2(30.0)));
+  expect_spans_in_order(
+      trace_of([&] {
+        dyn.insert_edges(std::vector<Edge>{Edge{0, 15, 0.9}});
+      }),
+      {"dynamic.validate", "dynamic.apply-graph", "dynamic.tree-repair",
+       "dynamic.rebind", "dynamic.sparsify"});
 }
 
 TEST(Trace, StartResetsAndCountsSpans) {

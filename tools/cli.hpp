@@ -35,15 +35,17 @@ class ArgParser {
   ArgParser(std::string program, std::string description)
       : program_(std::move(program)), description_(std::move(description)) {}
 
-  /// Registers an option (for usage text; parsing is lenient).
+  /// Registers an option: parse() accepts it, and usage() lists it.
   ArgParser& option(const std::string& name, const std::string& help,
                     const std::string& default_value = "") {
     help_.push_back({name, help, default_value});
     return *this;
   }
 
-  /// Parses argv. Throws std::invalid_argument on malformed input.
-  /// Returns false when --help was requested (usage printed by caller).
+  /// Parses argv. Throws std::invalid_argument on malformed input and on
+  /// any `--flag` that was never registered with option(), so a stale or
+  /// misspelt flag fails instead of being ignored. Returns false when
+  /// --help was requested (usage printed by caller).
   bool parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
@@ -54,15 +56,19 @@ class ArgParser {
       }
       arg = arg.substr(2);
       const auto eq = arg.find('=');
+      const std::string key = arg.substr(0, eq);
+      if (!registered(key)) {
+        throw std::invalid_argument("unknown option --" + key);
+      }
       if (eq != std::string::npos) {
-        values_[arg.substr(0, eq)] = arg.substr(eq + 1);
+        values_[key] = arg.substr(eq + 1);
         continue;
       }
       // `--key value` unless the next token is another option or absent.
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[arg] = argv[++i];
+        values_[key] = argv[++i];
       } else {
-        values_[arg] = "true";  // boolean flag
+        values_[key] = "true";  // boolean flag
       }
     }
     return true;
@@ -134,6 +140,13 @@ class ArgParser {
   }
 
  private:
+  [[nodiscard]] bool registered(const std::string& name) const {
+    for (const auto& h : help_) {
+      if (h.name == name) return true;
+    }
+    return false;
+  }
+
   struct HelpEntry {
     std::string name;
     std::string help;

@@ -17,11 +17,12 @@
 // hierarchical layer, which keeps at most one leaf subgraph on the heap
 // at a time (a `.sspb` input is never materialized whole). Writes the
 // (final) sparsifier back as a symmetric .mtx and prints a
-// machine-greppable stats block. --progress streams per-round /
-// per-block / per-batch telemetry (per-stage wall times with
-// --progress=stages).
+// machine-greppable stats block. --progress streams per-round and
+// per-batch telemetry and prints the per-block lines once the blocks
+// finish (per-stage wall times with --progress=stages).
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 
@@ -40,74 +41,103 @@
 
 namespace {
 
-/// Streams engine telemetry to stdout as rounds/stages complete.
+/// One line per engine stage with nonzero seconds, indexed by StageKind.
+void print_engine_stages(const std::array<double, ssp::kNumStageKinds>& sec,
+                         const char* indent) {
+  for (int s = 0; s < ssp::kNumStageKinds; ++s) {
+    if (sec[static_cast<std::size_t>(s)] > 0.0) {
+      std::printf("%sstage %-17s %.4fs\n", indent,
+                  ssp::to_string(static_cast<ssp::StageKind>(s)),
+                  sec[static_cast<std::size_t>(s)]);
+    }
+  }
+}
+
+/// Streams engine telemetry to stdout as rounds complete: one line per
+/// round, preceded with --progress=stages by the stage seconds the round
+/// added to `result().stage_seconds`.
 class ProgressPrinter : public ssp::StageObserver {
  public:
-  explicit ProgressPrinter(bool show_stages) : show_stages_(show_stages) {}
+  ProgressPrinter(const ssp::Sparsifier& engine, bool show_stages)
+      : engine_(engine), show_stages_(show_stages) {}
 
   bool on_round(const ssp::DensifyRound& r) override {
+    print_new_stages();
     std::printf("round %3lld  sigma2 %10.2f  theta %8.3e  added %6lld  "
                 "%.3fs\n",
                 static_cast<long long>(r.round), r.sigma2_estimate, r.theta,
                 static_cast<long long>(r.edges_added), r.seconds);
     return true;
   }
-  void on_stage(ssp::StageKind stage, double seconds) override {
-    if (show_stages_) {
-      std::printf("  stage %-17s %.4fs\n", ssp::to_string(stage), seconds);
+
+  /// Prints the stage seconds added since the last call (after run(),
+  /// that is the final estimate).
+  void print_new_stages() {
+    if (!show_stages_) return;
+    const auto& now = engine_.result().stage_seconds;
+    std::array<double, ssp::kNumStageKinds> added{};
+    for (std::size_t i = 0; i < added.size(); ++i) {
+      added[i] = now[i] - printed_[i];
     }
+    print_engine_stages(added, "  ");
+    printed_ = now;
   }
 
  private:
+  const ssp::Sparsifier& engine_;
   bool show_stages_;
+  std::array<double, ssp::kNumStageKinds> printed_{};
 };
 
-/// Streams scale-layer telemetry: one line per pipeline stage and per
-/// block (engine stage breakdown with --progress=stages).
-class ScaleProgressPrinter : public ssp::ScaleObserver {
- public:
-  explicit ScaleProgressPrinter(bool show_stages)
-      : show_stages_(show_stages) {}
-
-  void on_scale_stage(ssp::ScaleStage stage, double seconds) override {
-    std::printf("stage %-14s %.4fs\n", ssp::to_string(stage), seconds);
+/// One scale-layer block (or cut, or leaf) line, with the engine stage
+/// breakdown under --progress=stages.
+void print_block(const ssp::BlockStats& b, bool show_stages) {
+  if (b.block == ssp::kCutBlock) {
+    std::printf("  cut    |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f  "
+                "%.3fs\n",
+                b.vertices, static_cast<long long>(b.edges),
+                static_cast<long long>(b.kept_edges), b.sigma2_estimate,
+                b.seconds);
+  } else {
+    std::printf("  block %2lld |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f"
+                "  %.3fs%s\n",
+                static_cast<long long>(b.block), b.vertices,
+                static_cast<long long>(b.edges),
+                static_cast<long long>(b.kept_edges), b.sigma2_estimate,
+                b.seconds, b.reached_target ? "" : "  (NOT reached)");
   }
-  void on_block(const ssp::BlockStats& b) override {
-    if (b.block == ssp::kCutBlock) {
-      std::printf("  cut    |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f  "
-                  "%.3fs\n",
-                  b.vertices, static_cast<long long>(b.edges),
-                  static_cast<long long>(b.kept_edges), b.sigma2_estimate,
-                  b.seconds);
-    } else {
-      std::printf("  block %2lld |V| %7d |E| %8lld kept %8lld  sigma2 %8.2f"
-                  "  %.3fs%s\n",
-                  static_cast<long long>(b.block), b.vertices,
-                  static_cast<long long>(b.edges),
-                  static_cast<long long>(b.kept_edges), b.sigma2_estimate,
-                  b.seconds, b.reached_target ? "" : "  (NOT reached)");
+  if (show_stages) print_engine_stages(b.stage_seconds, "    ");
+}
+
+/// Scale-layer telemetry of a finished run: one line per pipeline stage,
+/// the blocks after the block stage and the cut pass after the cut stage.
+void print_partitioned_progress(const ssp::PartitionedResult& res,
+                                bool show_stages) {
+  for (int s = 0; s < ssp::kNumScaleStages; ++s) {
+    const auto stage = static_cast<ssp::ScaleStage>(s);
+    if (stage == ssp::ScaleStage::kQuality && !res.quality.has_value()) {
+      continue;
     }
-    if (show_stages_) {
-      for (int s = 0; s < ssp::kNumStageKinds; ++s) {
-        const double sec = b.stage_seconds[static_cast<std::size_t>(s)];
-        if (sec > 0.0) {
-          std::printf("    stage %-17s %.4fs\n",
-                      ssp::to_string(static_cast<ssp::StageKind>(s)), sec);
-        }
+    std::printf("stage %-14s %.4fs\n", ssp::to_string(stage),
+                res.stage_seconds[static_cast<std::size_t>(s)]);
+    if (stage == ssp::ScaleStage::kBlockSparsify) {
+      for (const ssp::BlockStats& b : res.block_stats) {
+        print_block(b, show_stages);
       }
     }
+    if (stage == ssp::ScaleStage::kCutSparsify && res.cut_stats.has_value()) {
+      print_block(*res.cut_stats, show_stages);
+    }
   }
-
- private:
-  bool show_stages_;
-};
+}
 
 int run_whole_graph(const ssp::cli::ArgParser& args, const ssp::Graph& g,
                     const ssp::SparsifyOptions& opts) {
   ssp::Sparsifier engine(g, opts);
-  ProgressPrinter progress(args.get("progress", "") == "stages");
+  ProgressPrinter progress(engine, args.get("progress", "") == "stages");
   if (args.has("progress")) engine.set_observer(&progress);
   engine.run();
+  if (args.has("progress")) progress.print_new_stages();
   const ssp::SparsifyResult& res = engine.result();
 
   std::printf("edges: %lld  density: %.4f x |V|\n",
@@ -131,9 +161,10 @@ int run_whole_graph(const ssp::cli::ArgParser& args, const ssp::Graph& g,
 int run_partitioned(const ssp::cli::ArgParser& args, const ssp::Graph& g,
                     const ssp::PartitionedOptions& opts) {
   ssp::PartitionedSparsifier driver(g, opts);
-  ScaleProgressPrinter progress(args.get("progress", "") == "stages");
-  if (args.has("progress")) driver.set_observer(&progress);
   const ssp::PartitionedResult& res = driver.run();
+  if (args.has("progress")) {
+    print_partitioned_progress(res, args.get("progress", "") == "stages");
+  }
 
   std::printf("edges: %lld  density: %.4f x |V|\n",
               static_cast<long long>(res.num_edges()),
@@ -194,6 +225,11 @@ ssp::Graph extract_from_view(const ssp::GraphView& v,
 int report_outofcore(const ssp::cli::ArgParser& args, const ssp::GraphView& v,
                      const ssp::HierarchicalOptions& opts,
                      const ssp::HierarchicalResult& res) {
+  if (args.has("progress")) {
+    for (const ssp::BlockStats& b : res.leaf_stats) {
+      print_block(b, args.get("progress", "") == "stages");
+    }
+  }
   std::printf("edges: %lld  density: %.4f x |V|\n",
               static_cast<long long>(res.num_edges()),
               static_cast<double>(res.num_edges()) / v.num_vertices());
@@ -228,7 +264,6 @@ int run_outofcore(const ssp::cli::ArgParser& args, const std::string& in_path,
                   const ssp::SparsifyOptions& base) {
   const ssp::HierarchicalOptions opts =
       ssp::cli::hierarchical_options_from(args, base);
-  ScaleProgressPrinter progress(args.get("progress", "") == "stages");
   if (ssp::classify_graph_source(in_path) == ssp::GraphSourceKind::kSspb) {
     const ssp::storage::MappedGraph mapped(in_path);
     std::printf("mapped %s: |V| = %d, |E| = %lld (%llu bytes)\n",
@@ -237,45 +272,37 @@ int run_outofcore(const ssp::cli::ArgParser& args, const std::string& in_path,
                 static_cast<unsigned long long>(mapped.file_bytes()));
     ssp::HierarchicalSparsifier driver(mapped.view(), opts);
     driver.set_release_hook([&mapped] { mapped.release_pages(); });
-    if (args.has("progress")) driver.set_observer(&progress);
     return report_outofcore(args, mapped.view(), opts, driver.run());
   }
   const ssp::Graph g = ssp::load_graph_source(in_path);
   std::printf("loaded %s: |V| = %d, |E| = %lld\n", in_path.c_str(),
               g.num_vertices(), static_cast<long long>(g.num_edges()));
   ssp::HierarchicalSparsifier driver(g, opts);
-  if (args.has("progress")) driver.set_observer(&progress);
   return report_outofcore(args, g, opts, driver.run());
 }
 
-/// Streams dynamic-layer telemetry: one line per applied batch (stage
-/// breakdown with --progress=stages).
-class DynamicProgressPrinter : public ssp::DynamicObserver {
- public:
-  explicit DynamicProgressPrinter(bool show_stages)
-      : show_stages_(show_stages) {}
-
-  void on_dynamic_stage(ssp::DynamicStage stage, double seconds) override {
-    if (show_stages_) {
-      std::printf("  stage %-12s %.4fs\n", ssp::to_string(stage), seconds);
+/// One dynamic-layer batch line, preceded with --progress=stages by its
+/// stage breakdown.
+void print_batch(const ssp::UpdateStats& s, bool show_stages) {
+  if (show_stages) {
+    for (int k = 0; k < ssp::kNumDynamicStages; ++k) {
+      const double sec = s.stage_seconds[static_cast<std::size_t>(k)];
+      if (sec > 0.0) {
+        std::printf("  stage %-12s %.4fs\n",
+                    ssp::to_string(static_cast<ssp::DynamicStage>(k)), sec);
+      }
     }
   }
-  void on_update(const ssp::UpdateStats& s) override {
-    std::printf("batch %3lld  %-11s +%lld -%lld ~%lld  dirty %.4f  "
-                "swaps %lld  |Es| %lld  sigma2 %8.2f%s  %.3fs\n",
-                static_cast<long long>(s.batch), ssp::to_string(s.route),
-                static_cast<long long>(s.inserted),
-                static_cast<long long>(s.removed),
-                static_cast<long long>(s.reweighted), s.dirty_fraction,
-                static_cast<long long>(s.tree_swaps),
-                static_cast<long long>(s.sparsifier_edges),
-                s.sigma2_estimate, s.reached_target ? "" : " (NOT reached)",
-                s.seconds);
-  }
-
- private:
-  bool show_stages_;
-};
+  std::printf("batch %3lld  %-11s +%lld -%lld ~%lld  dirty %.4f  "
+              "swaps %lld  |Es| %lld  sigma2 %8.2f%s  %.3fs\n",
+              static_cast<long long>(s.batch), ssp::to_string(s.route),
+              static_cast<long long>(s.inserted),
+              static_cast<long long>(s.removed),
+              static_cast<long long>(s.reweighted), s.dirty_fraction,
+              static_cast<long long>(s.tree_swaps),
+              static_cast<long long>(s.sparsifier_edges), s.sigma2_estimate,
+              s.reached_target ? "" : " (NOT reached)", s.seconds);
+}
 
 int run_dynamic(const ssp::cli::ArgParser& args, const ssp::Graph& g,
                 const ssp::SparsifyOptions& base) {
@@ -287,13 +314,14 @@ int run_dynamic(const ssp::cli::ArgParser& args, const ssp::Graph& g,
               "--update-file pins the canonical kruskal backbone; "
               "--backbone cannot be combined with it");
   const auto journal = ssp::load_update_journal(args.require("update-file"));
-  DynamicProgressPrinter progress(args.get("progress", "") == "stages");
-  // Observer attached at construction so the initial build (batch 0)
-  // streams its telemetry too.
-  ssp::DynamicSparsifier dyn(g, ssp::cli::dynamic_options_from(args, base),
-                             args.has("progress") ? &progress : nullptr);
+  const bool progress = args.has("progress");
+  const bool show_stages = args.get("progress", "") == "stages";
+  ssp::DynamicSparsifier dyn(g, ssp::cli::dynamic_options_from(args, base));
+  if (progress) print_batch(dyn.history().front(), show_stages);
   for (const ssp::JournalBatch& batch : journal) {
-    dyn.apply(ssp::resolve_journal_batch(dyn.graph(), batch));
+    const ssp::UpdateStats stats =
+        dyn.apply(ssp::resolve_journal_batch(dyn.graph(), batch));
+    if (progress) print_batch(stats, show_stages);
   }
   const ssp::SparsifyResult& res = dyn.result();
 
