@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -29,22 +28,26 @@ std::vector<EdgeId> filter_offtree_edges(const Graph& g,
   std::vector<EdgeId> selected;
   if (emb.offtree_edges.empty() || emb.heat_max <= 0.0) return selected;
 
-  // Candidate indices above threshold, sorted by descending heat.
-  std::vector<std::size_t> idx;
-  idx.reserve(emb.offtree_edges.size());
+  // Candidate indices above threshold, visited by descending heat.
+  std::vector<std::size_t> heap;
+  heap.reserve(emb.offtree_edges.size());
   const double cut = theta * emb.heat_max;
   for (std::size_t k = 0; k < emb.heat.size(); ++k) {
-    if (emb.heat[k] >= cut) idx.push_back(k);
+    if (emb.heat[k] >= cut) heap.push_back(k);
   }
-  // Descending heat with an ascending edge-id tiebreak (offtree_edges is
-  // ascending by id, so index order is id order), via stable_sort: equal
-  // heats are common on symmetric graphs, and without the tiebreak the
-  // accepted set — and through the node-disjoint policy the whole
-  // sparsifier — would depend on the STL's sort implementation.
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    if (emb.heat[a] != emb.heat[b]) return emb.heat[a] > emb.heat[b];
-    return emb.offtree_edges[a] < emb.offtree_edges[b];
-  });
+  // Descending heat with an ascending edge-id tiebreak: equal heats are
+  // common on symmetric graphs, and without the tiebreak the accepted set
+  // — and through the node-disjoint policy the whole sparsifier — would
+  // depend on the STL's implementation. Edge ids are unique, so the order
+  // is total and popping a heap yields exactly the sorted order, while
+  // only the candidates the scan reaches before max_edges pay for it.
+  // `later(a, b)` is true when a is visited after b, so the heap's top is
+  // the next candidate.
+  const auto later = [&](std::size_t a, std::size_t b) {
+    if (emb.heat[a] != emb.heat[b]) return emb.heat[a] < emb.heat[b];
+    return emb.offtree_edges[a] > emb.offtree_edges[b];
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
 
   const Index cap =
       opts.similarity == SimilarityPolicy::kNodeDisjoint ? 1 : opts.node_cap;
@@ -56,13 +59,18 @@ std::vector<EdgeId> filter_offtree_edges(const Graph& g,
           : static_cast<std::size_t>(g.num_vertices()),
       0);
 
-  for (std::size_t k : idx) {
+  const auto edges = g.edges();
+  while (!heap.empty()) {
     if (opts.max_edges > 0 &&
         static_cast<EdgeId>(selected.size()) >= opts.max_edges) {
       break;
     }
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const std::size_t k = heap.back();
+    heap.pop_back();
     const EdgeId id = emb.offtree_edges[k];
-    const Edge& e = g.edge(id);
+    SSP_DASSERT(id >= 0 && id < g.num_edges(), "filter: edge id out of range");
+    const Edge& e = edges[static_cast<std::size_t>(id)];
     if (opts.similarity != SimilarityPolicy::kNone) {
       auto& tu = touched[static_cast<std::size_t>(e.u)];
       auto& tv = touched[static_cast<std::size_t>(e.v)];

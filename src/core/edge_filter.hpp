@@ -44,6 +44,8 @@ struct FilterOptions {
 
 /// Applies the threshold + similarity policy to an embedding. Edges are
 /// visited in descending heat order; the returned ids preserve that order.
+/// `emb` must come from `compute_offtree_heat` on `g`: its ids index
+/// `g.edges()` unchecked (SSP_DASSERT builds check them).
 [[nodiscard]] std::vector<EdgeId> filter_offtree_edges(
     const Graph& g, const OffTreeEmbedding& emb, double theta,
     const FilterOptions& opts = {});

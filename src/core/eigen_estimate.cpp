@@ -18,9 +18,10 @@ double estimate_lambda_min_node_coloring(const Graph& g,
   SSP_REQUIRE(n >= 2, "lambda_min: need >= 2 vertices");
 
   Vec deg_p(static_cast<std::size_t>(n), 0.0);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (in_sparsifier[static_cast<std::size_t>(e)] == 0) continue;
-    const Edge& edge = g.edge(e);
+  const auto edges = g.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (in_sparsifier[e] == 0) continue;
+    const Edge& edge = edges[e];
     deg_p[static_cast<std::size_t>(edge.u)] += edge.weight;
     deg_p[static_cast<std::size_t>(edge.v)] += edge.weight;
   }

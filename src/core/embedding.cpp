@@ -145,10 +145,12 @@ void compute_offtree_heat(const Graph& g, const CsrMatrix& lg,
   // vertex is one contiguous panel row, so the per-edge sum is a fused
   // squared distance over the two rows; each edge's heat is owned by
   // exactly one chunk, so the result is thread-count invariant.
+  const auto edges = g.edges();
   parallel_for(Index{0}, static_cast<Index>(num_offtree), threads,
                [&](Index ki) {
                  const auto k = static_cast<std::size_t>(ki);
-                 const Edge& e = g.edge(out.offtree_edges[k]);
+                 const Edge& e =
+                     edges[static_cast<std::size_t>(out.offtree_edges[k])];
                  const double* hu =
                      ws.panel_h.data() + static_cast<std::size_t>(e.u) * ur;
                  const double* hv =

@@ -121,7 +121,7 @@ struct SparsifyOptions {
 
 /// Pipeline stages of the engine, indexing `SparsifyResult::stage_seconds`.
 enum class StageKind {
-  kBackbone,          ///< spanning-tree backbone construction
+  kBackbone,          ///< L_G build + spanning-tree backbone construction
   kSolverSetup,       ///< L_P assembly and inner solver (re)build
   kSpectralEstimate,  ///< (λ_min, λ_max) estimation (§3.6)
   kEmbedding,         ///< Joule-heat embedding of off-tree edges (§3.2)

@@ -61,7 +61,10 @@ void Sparsifier::ensure_backbone() {
     }
     bind_backbone(*owned_backbone_);
   }
-  notify_stage(StageKind::kBackbone, timer.seconds());
+  // The constructor's L_G build belongs to the same stage, as it does in
+  // rebind(). The first step() builds the backbone, so elapsed_seconds_
+  // still holds exactly that build's time.
+  notify_stage(StageKind::kBackbone, elapsed_seconds_ + timer.seconds());
 }
 
 void Sparsifier::bind_backbone(const SpanningTree& backbone) {

@@ -1,7 +1,7 @@
 #include "graph/generators/community.hpp"
 
 #include <algorithm>
-#include <set>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -19,26 +19,34 @@ Graph planted_partition(Vertex n, Vertex communities, double p_in,
   auto wdraw = [&] {
     return w.kind == WeightModel::Kind::kUnit ? 1.0 : draw_weight(w, rng);
   };
-  std::set<std::pair<Vertex, Vertex>> present;
-  auto add_once = [&](Vertex a, Vertex b) {
-    const auto key = std::minmax(a, b);
-    if (present.insert({key.first, key.second}).second) {
-      g.add_edge(a, b, wdraw());
-    }
-  };
-
+  // The random pass visits each pair once, so only the connectivity pass
+  // can repeat an edge: remember which of its candidates — (v, v+1) and the
+  // bridges (v, v+block) — the random pass already drew.
+  std::vector<char> has_next(static_cast<std::size_t>(used), 0);
+  std::vector<char> has_bridge(static_cast<std::size_t>(used), 0);
   for (Vertex i = 0; i < used; ++i) {
     for (Vertex j = i + 1; j < used; ++j) {
       const bool same = (i / block) == (j / block);
       const double p = same ? p_in : p_out;
-      if (p > 0.0 && rng.uniform() < p) add_once(i, j);
+      if (p > 0.0 && rng.uniform() < p) {
+        g.add_edge(i, j, wdraw());
+        if (j == i + 1) has_next[static_cast<std::size_t>(i)] = 1;
+        if (j == i + block) has_bridge[static_cast<std::size_t>(i)] = 1;
+      }
     }
   }
   // Connectivity: path within each block, bridge between consecutive blocks.
   for (Vertex c = 0; c < communities; ++c) {
     const Vertex base = c * block;
-    for (Vertex i = 0; i + 1 < block; ++i) add_once(base + i, base + i + 1);
-    if (c + 1 < communities) add_once(base, base + block);
+    for (Vertex i = base; i + 1 < base + block; ++i) {
+      if (has_next[static_cast<std::size_t>(i)] == 0) {
+        g.add_edge(i, i + 1, wdraw());
+      }
+    }
+    if (c + 1 < communities &&
+        has_bridge[static_cast<std::size_t>(base)] == 0) {
+      g.add_edge(base, base + block, wdraw());
+    }
   }
   g.finalize();
   return g;

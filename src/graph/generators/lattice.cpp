@@ -16,6 +16,7 @@ double next_weight(const WeightModel& w, Rng* rng) {
 Graph grid_2d(Vertex nx, Vertex ny, const WeightModel& w, Rng* rng) {
   SSP_REQUIRE(nx >= 1 && ny >= 1, "grid_2d: dimensions must be >= 1");
   Graph g(nx * ny);
+  g.reserve_edges((nx - 1) * ny + nx * (ny - 1));
   auto id = [ny](Vertex i, Vertex j) { return i * ny + j; };
   for (Vertex i = 0; i < nx; ++i) {
     for (Vertex j = 0; j < ny; ++j) {
@@ -49,6 +50,7 @@ Graph triangulated_grid(Vertex nx, Vertex ny, const WeightModel& w,
                         Rng* rng) {
   SSP_REQUIRE(nx >= 1 && ny >= 1, "triangulated_grid: dimensions must be >= 1");
   Graph g(nx * ny);
+  g.reserve_edges((nx - 1) * ny + nx * (ny - 1) + (nx - 1) * (ny - 1));
   auto id = [ny](Vertex i, Vertex j) { return i * ny + j; };
   for (Vertex i = 0; i < nx; ++i) {
     for (Vertex j = 0; j < ny; ++j) {

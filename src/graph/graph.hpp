@@ -44,6 +44,12 @@ class Graph {
   /// id. Invalidates the adjacency structure until the next finalize().
   EdgeId add_edge(Vertex u, Vertex v, double w);
 
+  /// Reserves room for `m` edges in total (a generator that knows its
+  /// edge count appends without reallocating).
+  void reserve_edges(EdgeId m) {
+    edges_.reserve(static_cast<std::size_t>(m));
+  }
+
   /// Removes the edges in `edge_ids` (valid, pairwise distinct; any order).
   /// Surviving edges keep their relative order but are renumbered densely;
   /// the returned vector maps every old edge id to its new id

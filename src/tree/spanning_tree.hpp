@@ -63,10 +63,19 @@ class SpanningTree {
 
   /// Vertices in BFS order from the root (root first). Every vertex appears
   /// after its parent — the order used by the O(n) tree solver.
+  ///
+  /// Invariant (checked by the constructor): a permutation of [0, n), so
+  /// the tree solves index their length-n arrays by these entries without
+  /// a range check.
   [[nodiscard]] std::span<const Vertex> bfs_order() const { return order_; }
 
   /// Flat parent array indexed by vertex (kInvalidVertex at the root) —
-  /// the raw form the blocked tree-solve kernels consume.
+  /// the raw form both tree solves (`TreeSolver::solve` and the blocked
+  /// `solve_multi` kernels) read.
+  ///
+  /// Invariant (checked by the constructor): every non-root entry is a
+  /// vertex in [0, n); only `parents()[root()]` is kInvalidVertex, and the
+  /// solves never dereference it (they skip order[0], the root).
   [[nodiscard]] std::span<const Vertex> parents() const { return parent_; }
 
   /// Flat parent-edge-weight array indexed by vertex (0 at the root).

@@ -26,26 +26,29 @@ void TreeSolver::solve(std::span<const double> b, std::span<double> x) const {
   // panel column, which keeps solve_multi columns bit-identical to this.
   const double bmean = kernels::sum(b) / static_cast<double>(n);
 
-  for (Vertex v = 0; v < n; ++v) {
-    flow_[static_cast<std::size_t>(v)] =
-        b[static_cast<std::size_t>(v)] - bmean;
-  }
+  // The sweeps index the tree's flat arrays unchecked (this runs once per
+  // PCG iteration): the SpanningTree constructor guarantees `order` is a
+  // permutation of [0, n) and every non-root parent is in range.
+  const std::size_t un = static_cast<std::size_t>(n);
+  const Vertex* order = t_->bfs_order().data();
+  const Vertex* parent = t_->parents().data();
+  const double* weight = t_->parent_weights().data();
+  const double* bp = b.data();
+  double* flow = flow_.data();
+  double* xp = x.data();
 
-  const auto order = t_->bfs_order();
+  for (std::size_t v = 0; v < un; ++v) flow[v] = bp[v] - bmean;
+
   // Leaf-to-root: accumulate subtree injections into the parent.
-  for (std::size_t i = order.size(); i-- > 1;) {
-    const Vertex v = order[i];
-    const Vertex p = t_->parent(v);
-    flow_[static_cast<std::size_t>(p)] += flow_[static_cast<std::size_t>(v)];
+  for (std::size_t i = un; i-- > 1;) {
+    const auto v = static_cast<std::size_t>(order[i]);
+    flow[static_cast<std::size_t>(parent[v])] += flow[v];
   }
   // Root-to-leaf: integrate potentials.
-  x[static_cast<std::size_t>(t_->root())] = 0.0;
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const Vertex v = order[i];
-    const Vertex p = t_->parent(v);
-    x[static_cast<std::size_t>(v)] =
-        x[static_cast<std::size_t>(p)] +
-        flow_[static_cast<std::size_t>(v)] / t_->parent_weight(v);
+  xp[static_cast<std::size_t>(t_->root())] = 0.0;
+  for (std::size_t i = 1; i < un; ++i) {
+    const auto v = static_cast<std::size_t>(order[i]);
+    xp[v] = xp[static_cast<std::size_t>(parent[v])] + flow[v] / weight[v];
   }
   project_out_mean(x);
 }

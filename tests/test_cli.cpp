@@ -150,6 +150,22 @@ TEST(Cli, TypedGettersValidate) {
   EXPECT_THROW((void)p.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW((void)p.get_double("n", 0.0), std::invalid_argument);
   EXPECT_EQ(p.get_int("missing", 7), 7);
+
+  // Trailing characters and empty values are rejected, not truncated.
+  for (const char* bad : {"5x", "1e3junk", ""}) {
+    Argv b({"prog", "--n", bad});
+    ArgParser q("prog", "test");
+    q.option("n", "count");
+    ASSERT_TRUE(q.parse(b.argc(), b.argv())) << bad;
+    EXPECT_THROW((void)q.get_int("n", 0), std::invalid_argument) << bad;
+    EXPECT_THROW((void)q.get_double("n", 0.0), std::invalid_argument) << bad;
+  }
+  Argv fraction({"prog", "--n", "0.1"});
+  ArgParser f("prog", "test");
+  f.option("n", "count");
+  ASSERT_TRUE(f.parse(fraction.argc(), fraction.argv()));
+  EXPECT_THROW((void)f.get_int("n", 0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(f.get_double("n", 0.0), 0.1);
 }
 
 TEST(Cli, PositionalArguments) {

@@ -265,6 +265,92 @@ TEST(Filter, MaxEdgesCapRespected) {
   EXPECT_EQ(picked.size(), 3u);
 }
 
+/// The filter as a full stable_sort then scan: every candidate at or above
+/// θ·heat_max ordered by descending heat, ascending edge id on ties.
+std::vector<EdgeId> reference_filter(const Graph& g,
+                                     const OffTreeEmbedding& emb, double theta,
+                                     const FilterOptions& opts) {
+  std::vector<EdgeId> selected;
+  if (emb.offtree_edges.empty() || emb.heat_max <= 0.0) return selected;
+  std::vector<std::size_t> idx;
+  for (std::size_t k = 0; k < emb.heat.size(); ++k) {
+    if (emb.heat[k] >= theta * emb.heat_max) idx.push_back(k);
+  }
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    if (emb.heat[a] != emb.heat[b]) return emb.heat[a] > emb.heat[b];
+    return emb.offtree_edges[a] < emb.offtree_edges[b];
+  });
+  const Index cap =
+      opts.similarity == SimilarityPolicy::kNodeDisjoint ? 1 : opts.node_cap;
+  std::vector<Index> touched(static_cast<std::size_t>(g.num_vertices()), 0);
+  for (const std::size_t k : idx) {
+    if (opts.max_edges > 0 &&
+        static_cast<EdgeId>(selected.size()) >= opts.max_edges) {
+      break;
+    }
+    const Edge& e = g.edge(emb.offtree_edges[k]);
+    if (opts.similarity != SimilarityPolicy::kNone) {
+      auto& tu = touched[static_cast<std::size_t>(e.u)];
+      auto& tv = touched[static_cast<std::size_t>(e.v)];
+      if (tu >= cap || tv >= cap) continue;
+      ++tu;
+      ++tv;
+    }
+    selected.push_back(emb.offtree_edges[k]);
+  }
+  return selected;
+}
+
+TEST(Filter, MatchesStableSortReferenceUnderHeavyTies) {
+  Rng rng(404);
+  const Graph g = erdos_renyi_connected(120, 700, rng);
+  const SpanningTree t = max_weight_spanning_tree(g);
+  OffTreeEmbedding ascending;
+  ascending.offtree_edges = t.offtree_edge_ids();
+  // Four heat levels over ~580 edges: nearly every comparison is a tie
+  // broken by edge id.
+  for (std::size_t k = 0; k < ascending.offtree_edges.size(); ++k) {
+    ascending.heat.push_back(0.25 * static_cast<double>(rng.uniform_int(1, 4)));
+  }
+  ascending.heat_max =
+      *std::max_element(ascending.heat.begin(), ascending.heat.end());
+  // The same candidates with their ids out of index order.
+  OffTreeEmbedding shuffled = ascending;
+  std::vector<std::size_t> perm(shuffled.heat.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  rng.shuffle(perm);
+  for (std::size_t k = 0; k < perm.size(); ++k) {
+    shuffled.offtree_edges[k] = ascending.offtree_edges[perm[k]];
+    shuffled.heat[k] = ascending.heat[perm[k]];
+  }
+
+  const auto num_candidates =
+      static_cast<EdgeId>(ascending.offtree_edges.size());
+  const FilterOptions policies[] = {
+      {.similarity = SimilarityPolicy::kNone},
+      {.similarity = SimilarityPolicy::kNodeDisjoint},
+      {.similarity = SimilarityPolicy::kBounded, .node_cap = 2}};
+  for (const OffTreeEmbedding* emb : {&ascending, &shuffled}) {
+    for (FilterOptions opts : policies) {
+      for (const EdgeId max_edges :
+           {EdgeId{0}, EdgeId{1}, EdgeId{7}, num_candidates,
+            num_candidates + 5}) {
+        for (const double theta : {0.0, 0.5, 1.0}) {
+          opts.max_edges = max_edges;
+          const auto picked = filter_offtree_edges(g, *emb, theta, opts);
+          EXPECT_EQ(picked, reference_filter(g, *emb, theta, opts))
+              << (emb == &ascending ? "ascending" : "shuffled") << " policy "
+              << static_cast<int>(opts.similarity) << " max_edges "
+              << max_edges << " theta " << theta;
+          if (opts.similarity == SimilarityPolicy::kNone && max_edges == 1) {
+            ASSERT_EQ(picked.size(), 1u);  // the cap binds
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Sparsify, ReachesTargetOnWeightedGrid) {
   Rng rng(8);
   const Graph g = grid_2d(24, 24, WeightModel::log_uniform(0.1, 10.0), &rng);

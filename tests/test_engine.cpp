@@ -181,6 +181,44 @@ TEST(Engine, ObserverSeesEveryRoundAndResultRecordsAllStages) {
   EXPECT_EQ(backbone_calls_after_refine, 1u);
 }
 
+/// Σ stage_seconds of a result (each stage is timed inside total_seconds).
+double stage_sum(const SparsifyResult& r) {
+  double sum = 0.0;
+  for (const double s : r.stage_seconds) sum += s;
+  return sum;
+}
+
+TEST(Engine, LaplacianBuildIsCountedInOneBackboneStagePerPhase) {
+  const Graph g = test_grid(16);
+  obs::reset_metrics_for_tests();
+  obs::set_metrics_enabled(true);
+  // Cold: the constructor's L_G build and the tree build report as one
+  // backbone notification.
+  Sparsifier engine(g, SparsifyOptions{}.with_sigma2(20.0).with_seed(3));
+  const std::uint64_t calls_before_run =
+      counter_value("engine.stage.backbone.calls");
+  engine.run();
+  const std::uint64_t calls_after_run =
+      counter_value("engine.stage.backbone.calls");
+  const SparsifyResult cold = engine.result();
+
+  // Rebind + run: rebind() reports its own L_G build as the backbone
+  // stage, and the run that follows builds no second backbone.
+  const SpanningTree tree = max_weight_spanning_tree(g);
+  engine.rebind(g, tree, 11);
+  engine.run();
+  const std::uint64_t calls_after_rebind =
+      counter_value("engine.stage.backbone.calls");
+  obs::set_metrics_enabled(false);
+  obs::reset_metrics_for_tests();
+
+  EXPECT_EQ(calls_before_run, 0u);
+  EXPECT_EQ(calls_after_run, 1u);
+  EXPECT_EQ(calls_after_rebind, 2u);
+  EXPECT_LE(stage_sum(cold), cold.total_seconds);
+  EXPECT_LE(stage_sum(engine.result()), engine.result().total_seconds);
+}
+
 TEST(Engine, ObserverCancellationStopsAtRequestedRound) {
   const Graph g = test_grid(24);
   // A tight target so densification would run for many rounds uncancelled.

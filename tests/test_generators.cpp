@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <tuple>
@@ -250,6 +251,62 @@ TEST(Community, PlantedPartitionDetectableStructure) {
     }
   }
   EXPECT_GT(intra, 4 * inter);
+}
+
+/// planted_partition with its duplicates removed through a set of every
+/// edge added, the form the generator had before it tracked only the
+/// connectivity pass's candidates.
+Graph reference_planted_partition(Vertex n, Vertex communities, double p_in,
+                                  double p_out, Rng& rng,
+                                  const WeightModel& w) {
+  const Vertex block = n / communities;
+  const Vertex used = block * communities;
+  Graph g(used);
+  std::set<std::pair<Vertex, Vertex>> present;
+  auto add_once = [&](Vertex a, Vertex b) {
+    if (present.insert(std::minmax(a, b)).second) {
+      const bool unit = w.kind == WeightModel::Kind::kUnit;
+      g.add_edge(a, b, unit ? 1.0 : draw_weight(w, rng));
+    }
+  };
+  for (Vertex i = 0; i < used; ++i) {
+    for (Vertex j = i + 1; j < used; ++j) {
+      const double p = (i / block) == (j / block) ? p_in : p_out;
+      if (p > 0.0 && rng.uniform() < p) add_once(i, j);
+    }
+  }
+  for (Vertex c = 0; c < communities; ++c) {
+    const Vertex base = c * block;
+    for (Vertex i = 0; i + 1 < block; ++i) add_once(base + i, base + i + 1);
+    if (c + 1 < communities) add_once(base, base + block);
+  }
+  g.finalize();
+  return g;
+}
+
+TEST(Community, PlantedPartitionMatchesSetDedupedReference) {
+  const WeightModel w = WeightModel::uniform(0.5, 2.0);
+  // (n, communities, p_in, p_out): sparse and dense blocks, every path
+  // edge and bridge drawn at random (p = 1), and one-vertex blocks whose
+  // bridges are also (v, v+1) pairs.
+  const std::tuple<Vertex, Vertex, double, double> cases[] = {
+      {200, 2, 0.10, 0.005}, {700, 2, 0.25, 0.005}, {60, 3, 1.0, 1.0},
+      {61, 4, 0.5, 0.0},     {9, 9, 0.0, 0.5},      {12, 12, 1.0, 1.0}};
+  for (const auto& [n, k, p_in, p_out] : cases) {
+    Rng a(99);
+    Rng b(99);
+    const Graph g = planted_partition(n, k, p_in, p_out, a, w);
+    const Graph ref = reference_planted_partition(n, k, p_in, p_out, b, w);
+    ASSERT_EQ(g.num_vertices(), ref.num_vertices()) << n << "/" << k;
+    ASSERT_EQ(g.num_edges(), ref.num_edges()) << n << "/" << k;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(g.edge(e).u, ref.edge(e).u) << n << "/" << k << " edge " << e;
+      EXPECT_EQ(g.edge(e).v, ref.edge(e).v) << n << "/" << k << " edge " << e;
+      EXPECT_EQ(g.edge(e).weight, ref.edge(e).weight)
+          << n << "/" << k << " edge " << e;
+    }
+    EXPECT_TRUE(is_connected(g));
+  }
 }
 
 TEST(Community, DumbbellHasWeakBridge) {

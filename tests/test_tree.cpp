@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "graph/generators/lattice.hpp"
 #include "graph/generators/random_graphs.hpp"
 #include "graph/laplacian.hpp"
 #include "la/dense_eigen.hpp"
+#include "la/kernels/kernels.hpp"
 #include "la/vector_ops.hpp"
 #include "tree/akpw.hpp"
 #include "tree/dijkstra_tree.hpp"
@@ -404,6 +408,103 @@ TEST(TreeSolver, MatchesDensePseudoinverse) {
   }
   const Vec x = solver.solve(b);
   EXPECT_LT(relative_error(x, x_ref), 1e-8);
+}
+
+/// The per-vertex accessor sweep `TreeSolver::solve` ran before it read the
+/// tree's flat arrays: the kernels::sum mean, b − mean, children added into
+/// parents in reverse BFS order, x[p] + f/w, then project_out_mean.
+Vec reference_tree_solve(const SpanningTree& t, std::span<const double> b) {
+  const Vertex n = t.num_vertices();
+  const double bmean = kernels::sum(b) / static_cast<double>(n);
+  Vec flow(static_cast<std::size_t>(n));
+  for (Vertex v = 0; v < n; ++v) {
+    flow[static_cast<std::size_t>(v)] = b[static_cast<std::size_t>(v)] - bmean;
+  }
+  const auto order = t.bfs_order();
+  for (std::size_t i = order.size(); i-- > 1;) {
+    const Vertex v = order[i];
+    flow[static_cast<std::size_t>(t.parent(v))] +=
+        flow[static_cast<std::size_t>(v)];
+  }
+  Vec x(static_cast<std::size_t>(n));
+  x[static_cast<std::size_t>(t.root())] = 0.0;
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const Vertex v = order[i];
+    x[static_cast<std::size_t>(v)] =
+        x[static_cast<std::size_t>(t.parent(v))] +
+        flow[static_cast<std::size_t>(v)] / t.parent_weight(v);
+  }
+  project_out_mean(x);
+  return x;
+}
+
+/// Bit-for-bit agreement of the solver with the reference sweep on a few
+/// unbalanced right-hand sides (nonzero mean, entries spread over decades).
+void expect_solve_matches_reference(const SpanningTree& t, Rng& rng,
+                                    const char* what) {
+  const TreeSolver solver(t);
+  const auto n = static_cast<std::size_t>(t.num_vertices());
+  for (const double offset : {0.0, 3.25, -1e3}) {
+    Vec b = rng.normal_vector(static_cast<Index>(n));
+    for (std::size_t i = 0; i < n; ++i) {
+      b[i] = b[i] * std::pow(10.0, static_cast<double>(i % 7) - 3.0) + offset;
+    }
+    const Vec expected = reference_tree_solve(t, b);
+    Vec x(n, -7.0);  // stale output must be fully overwritten
+    solver.solve(b, x);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << what << " offset " << offset << " vertex " << i << ": " << x[i]
+          << " vs " << expected[i];
+    }
+  }
+}
+
+/// A tree whose edges are all of `g`'s edges (g must itself be a tree).
+SpanningTree whole_graph_tree(const Graph& g, Vertex root) {
+  std::vector<EdgeId> ids(static_cast<std::size_t>(g.num_edges()));
+  std::iota(ids.begin(), ids.end(), EdgeId{0});
+  return SpanningTree(g, std::move(ids), root);
+}
+
+TEST(TreeSolver, SolveMatchesAccessorSweepBitForBit) {
+  Rng rng(2024);
+  const WeightModel w = WeightModel::log_uniform(0.01, 100.0);
+  {
+    const Graph g = path_graph(2, w, &rng);
+    expect_solve_matches_reference(whole_graph_tree(g, 0), rng, "2-vertex");
+    expect_solve_matches_reference(whole_graph_tree(g, 1), rng,
+                                   "2-vertex rooted at 1");
+  }
+  {
+    // Deep chain: 2999 levels, rooted at one end and in the middle.
+    const Graph g = path_graph(3000, w, &rng);
+    expect_solve_matches_reference(whole_graph_tree(g, 0), rng, "path");
+    expect_solve_matches_reference(whole_graph_tree(g, 1500), rng,
+                                   "path rooted mid-way");
+  }
+  {
+    // One parent with many children, and the same star rooted at a leaf.
+    const Graph g = star_graph(500, w, &rng);
+    expect_solve_matches_reference(whole_graph_tree(g, 0), rng, "star");
+    expect_solve_matches_reference(whole_graph_tree(g, 17), rng,
+                                   "star rooted at a leaf");
+  }
+  {
+    const Graph g = grid_2d(30, 25, w, &rng);
+    expect_solve_matches_reference(max_weight_spanning_tree(g), rng,
+                                   "grid max-weight");
+    expect_solve_matches_reference(akpw_low_stretch_tree(g, rng), rng,
+                                   "grid akpw");
+  }
+  {
+    const Graph g = barabasi_albert(800, 3, rng, w);
+    expect_solve_matches_reference(max_weight_spanning_tree(g), rng,
+                                   "ba max-weight");
+    expect_solve_matches_reference(akpw_low_stretch_tree(g, rng), rng,
+                                   "ba akpw");
+  }
 }
 
 // Parameterized sweep: every backbone algorithm yields a valid spanning

@@ -96,26 +96,31 @@ class ArgParser {
                                   double fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
+    // The whole value must parse: "5x" or "1e3junk" is an error, not 5.
     try {
-      return std::stod(it->second);
+      std::size_t pos = 0;
+      const double value = std::stod(it->second, &pos);
+      if (pos == it->second.size()) return value;
     } catch (const std::exception&) {
-      throw std::invalid_argument("option --" + key +
-                                  " expects a number, got '" + it->second +
-                                  "'");
     }
+    throw std::invalid_argument("option --" + key +
+                                " expects a number, got '" + it->second + "'");
   }
 
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
+    // The whole value must parse: "0.1" is an error, not 0.
     try {
-      return std::stoll(it->second);
+      std::size_t pos = 0;
+      const long long value = std::stoll(it->second, &pos);
+      if (pos == it->second.size()) return value;
     } catch (const std::exception&) {
-      throw std::invalid_argument("option --" + key +
-                                  " expects an integer, got '" + it->second +
-                                  "'");
     }
+    throw std::invalid_argument("option --" + key +
+                                " expects an integer, got '" + it->second +
+                                "'");
   }
 
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const {
